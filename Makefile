@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race serve-test lint lint-baseline lint-mutations vet golden check bench perf-smoke
+.PHONY: build test race serve-test lint lint-baseline lint-mutations vet fmt-check golden check bench perf-smoke perfbench-gate
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails if any shipped Go file is not gofmt-clean. Analyzer
+# fixtures under testdata/ are exempt: their layout is part of what they
+# test.
+fmt-check:
+	@files=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')); \
+	 if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 # serve-test runs the simulation-service suite under the race detector
 # (DESIGN.md §9): concurrent determinism against direct Runner runs,
@@ -78,4 +85,20 @@ perf-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunWindowLoaded$$' -benchtime 3x -count 2 -benchmem . \
 	 | $(GO) run ./cmd/coaxial-bench -check $(BENCH_OUT) -factor 2 -alloc-factor 2
 
-check: vet lint build test
+# perfbench-gate is the repository benchmark's correctness gate: the
+# perfbench module's own tests (it is a separate module, so `go test ./...`
+# at the root skips it), then one short traced run per workload, each of
+# which must end with "correct":true — its result digests match the pins in
+# perfbench/pins.go. An internal-API break or a changed simulated result
+# fails here.
+perfbench-gate:
+	$(GO) -C perfbench test ./...
+	@for w in loaded idle rack2h serve_sweep; do \
+	   last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1); \
+	   case "$$last" in \
+	     *'"correct":true'*) echo "perfbench $$w: correct" ;; \
+	     *) echo "perfbench $$w: not correct: $$last"; exit 1 ;; \
+	   esac; \
+	 done
+
+check: vet fmt-check lint build test

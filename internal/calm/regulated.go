@@ -17,10 +17,10 @@ type regulated struct {
 	d Decisions
 
 	r            float64
-	epoch        int64 //lint:unit cycles
+	epoch        int64   //lint:unit cycles
 	peakBytesCyc float64 //lint:unit bytes/cycle
 
-	epochStart int64 //lint:unit cycles
+	epochStart int64  //lint:unit cycles
 	l2Misses   uint64 // this epoch
 	llcMisses  uint64 // this epoch
 

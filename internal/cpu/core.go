@@ -236,6 +236,24 @@ func (c *Core) Tick(now int64) {
 	c.dispatch(now)
 }
 
+// Sync realizes the per-cycle accounting of the inert cycles up to and
+// including now without simulating any of them: the catch-up a Tick at
+// now+1 would run, so a later Tick resumes from now. Unlike Tick it never
+// issues, retires, or dispatches, so it is safe after cycle now's
+// completions have already changed the core's state — a completion that
+// frees an MSHR at now first lets the core dispatch at now+1, as in the
+// cycle-by-cycle loop, where the core ticked at now before the completion
+// arrived. Idempotent at an already-synced cycle.
+func (c *Core) Sync(now int64) {
+	if now <= c.lastTick {
+		return
+	}
+	if !c.frozen {
+		c.catchUp(now + 1)
+	}
+	c.lastTick = now
+}
+
 // catchUp applies the per-cycle effects of the inert cycles in
 // (lastTick, now) exactly as the cycle-by-cycle loop would have: MSHR-stall
 // counters advance for accesses that would have retried and stalled every

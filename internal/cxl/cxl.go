@@ -14,8 +14,6 @@
 package cxl
 
 import (
-	"math"
-
 	"coaxial/internal/clock"
 	"coaxial/internal/dram"
 	"coaxial/internal/memreq"
@@ -115,365 +113,50 @@ type Stats struct {
 	RetryCycles uint64
 }
 
-// waiting is a request stalled at the device ingress on DDR backpressure.
-type waiting struct {
-	req   *memreq.Request
-	since int64 //lint:unit cycles
-}
-
-// Channel implements memreq.Backend for a CXL-attached memory channel.
+// Channel is a single-host CXL channel: a Port attached to its own private
+// one-port PooledDevice. The link and device model is the one a rack pools
+// (pooled.go); Channel only runs the port's host-side half and the device
+// side together each cycle, in the order a rack cycle runs them. Everything
+// else — Enqueue, Complete, counters, the retired drain, link stats — is
+// the embedded Port's.
 type Channel struct {
-	cfg ChannelConfig
-	// Link traversal and serialization latencies, pre-converted to cycles.
-	port                 int64 //lint:unit cycles
-	rxSer, txData, txReq int64 //lint:unit cycles
-
-	ddr []*dram.Channel
-
-	// Link occupancy cursors.
-	txFree int64 //lint:unit cycles
-	rxFree int64 //lint:unit cycles
-
-	// ingress: requests accepted from the cache hierarchy, ordered by
-	// their on-chip arrival cycle, awaiting TX link allocation.
-	ingress memreq.TimedHeap
-	// deviceQ: requests in flight on the link, ordered by device arrival.
-	deviceQ memreq.TimedHeap
-	// stalled: requests at the device waiting for a DDR queue slot.
-	stalled []waiting
-	// responses: completed reads traversing back, ordered by CPU-side
-	// delivery cycle.
-	responses memreq.TimedHeap
-
-	// outstanding counts requests admitted but not yet accepted by a DDR
-	// controller (the CXL controller's message queue population).
-	outstanding int
-
-	// retired buffers writes that died inside the channel this backend
-	// phase (committed on the device with no requester completer). Only
-	// collected when collectRetired is set — the simulator drains the
-	// buffer at the cycle barrier to recycle arena requests; raw channel
-	// users leave it off and such requests simply become unreferenced.
-	collectRetired bool
-	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
-	retired []*memreq.Request
-
-	stats Stats
-	now   int64 //lint:unit cycles
+	Port
+	dev PooledDevice
 }
 
 // NewChannel builds a CXL channel. systemSubChannels densifies the DDR
 // address decode as for direct channels.
 func NewChannel(cfg ChannelConfig, systemSubChannels int) *Channel {
-	if cfg.DDRChannels < 1 {
-		cfg.DDRChannels = 1
-	}
-	if cfg.IngressDepth < 1 {
-		cfg.IngressDepth = 64
-	}
-	c := &Channel{
-		cfg:    cfg,
-		port:   cfg.Link.portCycles(),
-		rxSer:  cfg.Link.rxSerCycles(),
-		txData: cfg.Link.txDataSerCycles(),
-		txReq:  cfg.Link.txReqSerCycles(),
-	}
-	for i := 0; i < cfg.DDRChannels; i++ {
-		c.ddr = append(c.ddr, dram.NewChannel(cfg.DDR, systemSubChannels))
-	}
+	c := &Channel{}
+	c.dev.init(PooledDeviceConfig{DDR: cfg.DDR, DDRChannels: cfg.DDRChannels}, systemSubChannels)
+	c.dev.attach(&c.Port, cfg.Link, cfg.IngressDepth, 0)
 	return c
 }
 
-// Enqueue implements memreq.Backend: the request enters the CPU-side CXL
-// controller at cycle `at`.
-func (c *Channel) Enqueue(r *memreq.Request, at int64) bool {
-	if c.outstanding >= c.cfg.IngressDepth {
-		return false
-	}
-	if at < c.now {
-		at = c.now
-	}
-	c.outstanding++
-	// Interpose on the completion path: remember the requester's
-	// completer and route DRAM completions back through this channel.
-	r.Inner = r.Ret
-	r.Ret = c
-	c.ingress.Push(at, r)
-	return true
-}
-
-// Complete receives DRAM-side completions (read data ready on the device,
-// or write committed) and schedules the response path.
-func (c *Channel) Complete(r *memreq.Request, now int64) {
-	if r.Kind == memreq.Write {
-		// Write data was already transferred; no response modeled (CXL
-		// write completions are small NDR messages off the critical path).
-		// A write with no requester completer dies here — buffer it for
-		// the retired drain when collection is on.
-		if r.Inner != nil {
-			r.Inner.Complete(r, now)
-		} else if c.collectRetired {
-			c.retired = append(c.retired, r)
-		}
-		return
-	}
-	// Response path: device egress port, RX serialization under link
-	// occupancy, CPU ingress port.
-	ready := now + c.port
-	start := ready
-	if c.rxFree > start {
-		start = c.rxFree
-	}
-	c.rxFree = start + c.rxSer
-	deliver := start + c.rxSer + c.port
-	r.CXLTime += deliver - now
-	c.responses.Push(deliver, r)
-}
-
-// Tick implements memreq.Backend. Re-ticking an already-simulated cycle is
-// a no-op so the event-driven loop can sync a lazily-skipped channel to the
-// global clock before reading counters.
+// Tick implements memreq.Backend: the port's host-side half, then the
+// device side. Re-ticking an already-simulated cycle is a no-op so the
+// event-driven loop can sync a lazily-skipped channel to the global clock
+// before reading counters.
 func (c *Channel) Tick(now int64) {
 	if now <= c.now {
 		return
 	}
-	c.now = now
-
-	// Deliver due responses to the original requesters.
-	for {
-		r, ok := c.responses.PopDue(now)
-		if !ok {
-			break
-		}
-		c.stats.RespDelivered++
-		if r.Inner != nil {
-			r.Inner.Complete(r, now)
-		}
-	}
-
-	// Admit due ingress requests onto the TX link.
-	for {
-		r, ok := c.ingress.PopDue(now)
-		if !ok {
-			break
-		}
-		ser := c.txReq
-		if r.Kind == memreq.Write {
-			ser = c.txData
-		}
-		ready := now + c.port
-		start := ready
-		if c.txFree > start {
-			start = c.txFree
-		}
-		c.txFree = start + ser
-		arrive := start + ser + c.port
-		r.CXLTime += arrive - now
-		c.deviceQ.Push(arrive, r)
-	}
-
-	// Retry device-stalled requests first (FIFO) to preserve ordering.
-	for len(c.stalled) > 0 {
-		w := c.stalled[0]
-		if !c.ddrEnqueue(w.req, now) {
-			break
-		}
-		// Waiting for a DDR queue slot is memory queuing, not interface
-		// time; attribute it alongside controller-queue spill.
-		c.stats.RetryCycles += uint64(now - w.since)
-		w.req.Spill += now - w.since
-		c.stalled = c.stalled[1:]
-		c.noteForwarded(w.req)
-	}
-
-	// Hand requests arriving at the device to its DDR controllers.
-	if len(c.stalled) == 0 {
-		for {
-			r, ok := c.deviceQ.PopDue(now)
-			if !ok {
-				break
-			}
-			if c.ddrEnqueue(r, now) {
-				c.noteForwarded(r)
-			} else {
-				c.stalled = append(c.stalled, waiting{req: r, since: now})
-				break
-			}
-		}
-	}
-
-	for _, d := range c.ddr {
-		d.Tick(now)
-	}
+	c.Port.Tick(now)
+	c.dev.TickDevice(now)
 }
 
-// NextEvent implements memreq.Backend. The channel only acts when a queued
-// item comes due — a response delivery, an ingress request entering the TX
-// link, a request arriving at the device — or when a device DDR channel has
-// work, so the next event is the earliest of those. Cycles skipped on that
-// basis are provable no-ops: every PopDue would return nothing and the DDR
-// ticks would idle. The same bound covers device-stalled requests: a DDR
-// queue slot only frees when a sub-channel issues a CAS (arrival pops move
-// pending counts into the queues without changing the admission sum), and
-// every such issue happens at a cycle the DDR channels' own NextEvent
-// already reports, so stalled retries between DDR events are provably
-// rejected again.
+// NextEvent implements memreq.Backend: the earlier of the port's and the
+// device's next events.
 func (c *Channel) NextEvent(now int64) int64 {
-	next := int64(math.MaxInt64)
-	if t, ok := c.responses.PeekAt(); ok && t < next {
-		next = t
-	}
-	if t, ok := c.ingress.PeekAt(); ok && t < next {
-		next = t
-	}
-	if t, ok := c.deviceQ.PeekAt(); ok && t < next {
-		next = t
-	}
-	for _, d := range c.ddr {
-		if t := d.NextEvent(now); t < next {
-			next = t
-		}
-	}
-	if next <= now {
-		return now + 1
-	}
-	return next
+	return min(c.Port.NextEvent(now), c.dev.NextEvent(now))
 }
 
-// SetLazy switches per-sub-channel event skipping on or off in the
-// device's DDR channels. The CXL link layer itself needs no lazy cache:
-// its own Tick is cheap and the system-level event loop already skips the
-// whole channel when it is idle.
-func (c *Channel) SetLazy(on bool) {
-	for _, d := range c.ddr {
-		d.SetLazy(on)
-	}
-}
-
-// Sync implements memreq.Backend: realize lagging background accounting in
-// the device DDR channels without simulating events. The link layer keeps
-// no per-cycle accounting of its own (RetryCycles accrues at retry events).
-func (c *Channel) Sync(now int64) {
-	for _, d := range c.ddr {
-		d.Sync(now)
-	}
-}
-
-func (c *Channel) noteForwarded(r *memreq.Request) {
-	c.outstanding--
-	if r.Kind == memreq.Write {
-		c.stats.WritesForwarded++
-	} else {
-		c.stats.ReadsForwarded++
-	}
-}
-
-// ddrEnqueue routes a request to the device DDR channel for its address.
-func (c *Channel) ddrEnqueue(r *memreq.Request, now int64) bool {
-	d := c.ddr[0]
-	if len(c.ddr) > 1 {
-		line := r.Addr >> memreq.LineShift
-		h := line ^ (line >> 6) ^ (line >> 11)
-		d = c.ddr[h%uint64(len(c.ddr))]
-	}
-	return d.Enqueue(r, now)
-}
-
-// PeakGBs implements memreq.Backend: the deliverable peak is the DDR
-// capacity behind the channel (utilization in the paper's figures is
-// quoted against DRAM peak).
-func (c *Channel) PeakGBs() float64 {
-	var total float64
-	for _, d := range c.ddr {
-		total += d.PeakGBs()
-	}
-	return total
-}
-
-// Counters sums the device's DRAM activity.
-func (c *Channel) Counters() dram.Counters {
-	var total dram.Counters
-	for _, d := range c.ddr {
-		ct := d.Counters()
-		total.ACT += ct.ACT
-		total.PRE += ct.PRE
-		total.RD += ct.RD
-		total.WR += ct.WR
-		total.REF += ct.REF
-		total.ReadBytes += ct.ReadBytes
-		total.WriteBytes += ct.WriteBytes
-		total.ActiveBankCycles += ct.ActiveBankCycles
-		total.RowHits += ct.RowHits
-		total.RowMisses += ct.RowMisses
-	}
-	return total
-}
-
-// ResetCounters zeroes device DRAM and link counters.
-func (c *Channel) ResetCounters() {
-	for _, d := range c.ddr {
-		d.ResetCounters()
-	}
-	c.stats = Stats{}
-}
-
-// Stats returns link activity counters.
-func (c *Channel) LinkStats() Stats { return c.stats }
-
-// DDR exposes the device's DDR channels (validation taps and tests).
-func (c *Channel) DDR() []*dram.Channel { return c.ddr }
-
-// SetCollectRetired enables buffering of writes that die inside the channel
-// (committed on the device with no requester completer), for the
-// simulator's retired drain. Off by default.
-func (c *Channel) SetCollectRetired(on bool) { c.collectRetired = on }
-
-// DrainRetired hands every buffered retired request to fn and clears the
-// buffer. Call only from the sequential phases of the tick loop.
-func (c *Channel) DrainRetired(fn func(*memreq.Request)) {
-	if len(c.retired) == 0 {
-		return
-	}
-	for i, r := range c.retired {
-		c.retired[i] = nil
-		fn(r)
-	}
-	c.retired = c.retired[:0]
-}
-
-// Outstanding reports requests admitted but not yet accepted by a device
-// DDR controller (the CXL controller's message-queue population).
-func (c *Channel) Outstanding() int { return c.outstanding }
-
-// IngressDepth reports the configured admission bound on Outstanding.
-func (c *Channel) IngressDepth() int { return c.cfg.IngressDepth }
-
-// ForEachPending visits every request currently inside the channel or its
-// device: awaiting the TX link, in flight to the device, stalled on DDR
-// backpressure, queued in a device DDR controller, or traversing back on
-// the response path. For validation walks; fn must not mutate the channel.
+// ForEachPending visits every request inside the channel: the port's
+// queues, then the device's DDR controllers. For validation walks; fn must
+// not mutate the channel.
 func (c *Channel) ForEachPending(fn func(*memreq.Request)) {
-	c.ingress.ForEach(fn)
-	c.deviceQ.ForEach(fn)
-	for i := range c.stalled {
-		fn(c.stalled[i].req)
-	}
-	c.responses.ForEach(fn)
-	for _, d := range c.ddr {
+	c.Port.ForEachPending(fn)
+	for _, d := range c.dev.ddr {
 		d.ForEachPending(fn)
 	}
-}
-
-// Idle reports whether the channel and its device have fully drained.
-func (c *Channel) Idle() bool {
-	if c.outstanding != 0 || c.ingress.Len() != 0 || c.deviceQ.Len() != 0 ||
-		len(c.stalled) != 0 || c.responses.Len() != 0 {
-		return false
-	}
-	for _, d := range c.ddr {
-		if !d.Idle() {
-			return false
-		}
-	}
-	return true
 }

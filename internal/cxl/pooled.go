@@ -8,23 +8,26 @@ import (
 	"coaxial/internal/stats"
 )
 
-// This file splits the single-host Channel into the two halves a rack-scale
-// pooled topology needs: a host-side Port (the CPU-side CXL controller and
-// the serial link, private to one host) and a shared PooledDevice (the
-// type-3 pool: per-port arbitration into a common set of DDR channels).
+// This file is the package's one link and device model, in two halves: a
+// host-side Port (the CPU-side CXL controller and the serial link, private
+// to one host) and a PooledDevice (the type-3 device: per-port arbitration
+// into a common set of DDR channels). A single-host Channel is a Port on
+// its own private one-port device; a rack attaches several hosts' ports to
+// one shared device.
 //
-// The split preserves Channel's per-cycle operation order exactly. One
-// Channel tick runs: (1) deliver due responses, (2) admit due ingress onto
-// the TX link, (3) retry device-stalled requests, (4) drain link arrivals
-// into the DDR controllers, (5) tick the DDR channels. A Port tick runs
-// steps 1–2 (host-side state only, so hosts tick in parallel race-free);
-// the device phase runs steps 3–5, visiting ports in fixed attach order.
-// With a single port the interleaving of the two halves across channels is
-// immaterial — steps 1–2 never read device state, steps 3–5 never read
-// host-side state, and every cross-step handoff (a response scheduled in
-// step 5 via Port.Complete, an arrival pushed in step 2) targets a strictly
-// future cycle — so a one-host rack is bit-identical to the equivalent
-// single-System run (TestRackClockingEquivalence).
+// One cycle of a channel runs: (1) deliver due responses, (2) admit due
+// ingress onto the TX link, (3) retry device-stalled requests, (4) drain
+// link arrivals into the DDR controllers, (5) tick the DDR channels.
+// Port.Tick runs steps 1–2 (host-side state only, so hosts tick in
+// parallel race-free); TickDevice runs steps 3–5, visiting ports in fixed
+// attach order. Channel.Tick runs Port.Tick then TickDevice. A rack
+// instead runs every host's port ticks, then every device — with a single
+// port that interleaving across channels is immaterial: steps 1–2 never
+// read device state, steps 3–5 never read host-side state, and every
+// cross-step handoff (a response scheduled in step 5 via Port.Complete, an
+// arrival pushed in step 2) targets a strictly future cycle. So a one-host
+// rack is bit-identical to the equivalent single-System run
+// (TestRackClockingEquivalence).
 
 // PooledDeviceConfig describes one shared type-3 pool device.
 type PooledDeviceConfig struct {
@@ -35,10 +38,6 @@ type PooledDeviceConfig struct {
 	// DDRChannels is the number of DDR channels on the device.
 	DDRChannels int
 }
-
-// PortStats counts one port's link-level activity (the per-host slice of
-// Stats for a pooled device).
-type PortStats = Stats
 
 // PooledDevice is a type-3 memory pool shared by several hosts: a set of
 // DDR channels fed by per-host Ports. All device-side state advances only
@@ -69,20 +68,24 @@ type PooledDevice struct {
 }
 
 // NewPooledDevice builds a pool device. systemSubChannels densifies the DDR
-// address decode exactly as NewChannel does for single-host channels, so a
-// one-port device is timing-identical to the device inside a Channel.
+// address decode as for direct channels.
 func NewPooledDevice(cfg PooledDeviceConfig, systemSubChannels int) *PooledDevice {
+	d := &PooledDevice{}
+	d.init(cfg, systemSubChannels)
+	return d
+}
+
+// init builds the device in place (a Channel embeds its private device).
+func (d *PooledDevice) init(cfg PooledDeviceConfig, systemSubChannels int) {
 	if cfg.DDRChannels < 1 {
 		cfg.DDRChannels = 1
 	}
-	d := &PooledDevice{
-		cfg:       cfg,
-		queueHist: stats.NewHistogram(6000, 4),
+	d.cfg = cfg
+	d.queueHist = stats.NewHistogram(6000, 4)
+	d.ddr = make([]*dram.Channel, cfg.DDRChannels)
+	for i := range d.ddr {
+		d.ddr[i] = dram.NewChannel(cfg.DDR, systemSubChannels)
 	}
-	for i := 0; i < cfg.DDRChannels; i++ {
-		d.ddr = append(d.ddr, dram.NewChannel(cfg.DDR, systemSubChannels))
-	}
-	return d
 }
 
 // Name returns the device's configured label.
@@ -94,10 +97,18 @@ func (d *PooledDevice) Name() string { return d.cfg.Name }
 // order to make cross-host arbitration deterministic. host tags the port's
 // traffic for fairness accounting and validation walks.
 func (d *PooledDevice) AttachHost(link LinkParams, ingressDepth, host int) *Port {
+	p := &Port{}
+	d.attach(p, link, ingressDepth, host)
+	return p
+}
+
+// attach initializes p in place as the device's next port (a Channel
+// embeds its port).
+func (d *PooledDevice) attach(p *Port, link LinkParams, ingressDepth, host int) {
 	if ingressDepth < 1 {
 		ingressDepth = 64
 	}
-	p := &Port{
+	*p = Port{
 		dev:          d,
 		host:         host,
 		ingressDepth: ingressDepth,
@@ -111,7 +122,6 @@ func (d *PooledDevice) AttachHost(link LinkParams, ingressDepth, host int) *Port
 		d.hostReadBytes = append(d.hostReadBytes, 0)
 		d.hostWriteBytes = append(d.hostWriteBytes, 0)
 	}
-	return p
 }
 
 // Ports returns the attached ports in arbitration order.
@@ -123,9 +133,8 @@ func (d *PooledDevice) DDR() []*dram.Channel { return d.ddr }
 // TickDevice advances the device side of every attached port, then the DDR
 // channels, to cycle now. Ports are served in attach order: stalled
 // requests retry first (FIFO), then due link arrivals drain into the DDR
-// controllers — the same order Channel.Tick uses for its single host.
-// Must be called from one goroutine, after every host's port ticks for the
-// cycle (the rack's sequential device phase).
+// controllers. Must be called from one goroutine, after every attached
+// port's Tick for the cycle (the rack's sequential device phase).
 func (d *PooledDevice) TickDevice(now int64) {
 	for _, p := range d.ports {
 		p.tickDeviceSide(now)
@@ -137,9 +146,12 @@ func (d *PooledDevice) TickDevice(now int64) {
 
 // NextEvent returns the earliest cycle after now at which TickDevice could
 // make progress: a link arrival coming due at any port, or a device DDR
-// channel event. Stalled retries need no separate bound for the same
-// reason as Channel.NextEvent: a DDR queue slot only frees at a cycle the
-// DDR channels' own NextEvent already reports.
+// channel event. Cycles skipped on that basis are provable no-ops. The
+// same bound covers device-stalled requests: a DDR queue slot only frees
+// when a sub-channel issues a CAS (arrival pops move pending counts into
+// the queues without changing the admission sum), and every such issue
+// happens at a cycle the DDR channels' own NextEvent already reports, so
+// stalled retries between DDR events are provably rejected again.
 func (d *PooledDevice) NextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 	for _, p := range d.ports {
@@ -158,8 +170,10 @@ func (d *PooledDevice) NextEvent(now int64) int64 {
 	return next
 }
 
-// SetLazy switches per-sub-channel event skipping in the device's DDR
-// channels (see Channel.SetLazy).
+// SetLazy switches per-sub-channel event skipping on or off in the
+// device's DDR channels. The link layer itself needs no lazy cache: its own
+// Tick is cheap and the system-level event loop already skips the whole
+// channel when it is idle.
 func (d *PooledDevice) SetLazy(on bool) {
 	for _, ch := range d.ddr {
 		ch.SetLazy(on)
@@ -240,8 +254,7 @@ func (d *PooledDevice) Idle() bool {
 	return true
 }
 
-// ddrEnqueue routes a request to the device DDR channel for its address,
-// with the same hash Channel uses.
+// ddrEnqueue routes a request to the device DDR channel for its address.
 func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 	ch := d.ddr[0]
 	if len(d.ddr) > 1 {
@@ -252,11 +265,17 @@ func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 	return ch.Enqueue(r, now)
 }
 
+// waiting is a request stalled at the device ingress on DDR backpressure.
+type waiting struct {
+	req   *memreq.Request
+	since int64 //lint:unit cycles
+}
+
 // Port is the host-side half of one CXL channel into a PooledDevice: the
 // CPU-side CXL controller, the serial link in both directions, and the
-// response path. It implements the same backend surface as Channel
-// (memreq.Backend, counters, retired-write collection, validation walks),
-// so a sim.System embeds it exactly like any other memory backend.
+// response path. It implements the full backend surface (memreq.Backend,
+// counters, retired-write collection, validation walks), so a sim.System
+// embeds it exactly like any other memory backend.
 //
 // Concurrency contract: Enqueue, Tick, NextEvent, and the response
 // deliveries inside Tick touch only port-local state, so the owning host
@@ -265,7 +284,7 @@ func (d *PooledDevice) ddrEnqueue(r *memreq.Request, now int64) bool {
 // (TickDevice) and by Enqueue/Tick — never concurrently, because the rack
 // driver separates the phases with barriers.
 type Port struct {
-	dev          *Device
+	dev          *PooledDevice
 	host         int
 	ingressDepth int
 
@@ -297,20 +316,21 @@ type Port struct {
 	// the host phase.
 	outstanding int
 
+	// retired buffers writes that died inside the device (committed with
+	// no requester completer). Only collected when collectRetired is set —
+	// the simulator drains the buffer at a cycle barrier to recycle arena
+	// requests; raw users leave it off and such requests simply become
+	// unreferenced.
 	collectRetired bool
 	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
 	retired []*memreq.Request
 
-	stats PortStats
+	stats Stats
 	// readBytes/writeBytes tally this port's data transfers for per-host
 	// counter attribution on shared devices.
 	readBytes, writeBytes uint64
 	now                   int64 //lint:unit cycles
 }
-
-// Device is an alias kept so Port's field reads naturally; the pooled
-// device is the only device kind ports attach to.
-type Device = PooledDevice
 
 // Host returns the attached host's index.
 func (p *Port) Host() int { return p.host }
@@ -319,8 +339,8 @@ func (p *Port) Host() int { return p.host }
 func (p *Port) Device() *PooledDevice { return p.dev }
 
 // Enqueue implements memreq.Backend: the request enters the CPU-side CXL
-// controller at cycle at. Same admission bound and completer interposition
-// as Channel.Enqueue.
+// controller at cycle at, unless IngressDepth requests are already
+// outstanding.
 func (p *Port) Enqueue(r *memreq.Request, at int64) bool {
 	if p.outstanding >= p.ingressDepth {
 		return false
@@ -329,6 +349,8 @@ func (p *Port) Enqueue(r *memreq.Request, at int64) bool {
 		at = p.now
 	}
 	p.outstanding++
+	// Interpose on the completion path: remember the requester's
+	// completer and route DRAM completions back through this port.
 	r.Inner = r.Ret
 	r.Ret = p
 	p.ingress.Push(at, r)
@@ -343,6 +365,10 @@ func (p *Port) Enqueue(r *memreq.Request, at int64) bool {
 // delivery at least one cycle out.
 func (p *Port) Complete(r *memreq.Request, now int64) {
 	if r.Kind == memreq.Write {
+		// Write data was already transferred; no response modeled (CXL
+		// write completions are small NDR messages off the critical path).
+		// A write with no requester completer dies here — buffer it for
+		// the retired drain when collection is on.
 		p.writeBytes += memreq.LineSize
 		p.dev.hostWriteBytes[p.host] += memreq.LineSize
 		if r.Inner != nil {
@@ -358,6 +384,8 @@ func (p *Port) Complete(r *memreq.Request, now int64) {
 		p.dev.queueHist.Add(q)
 		p.dev.totalQueueCycles += uint64(q)
 	}
+	// Response path: device egress port, RX serialization under link
+	// occupancy, CPU ingress port.
 	ready := now + p.port
 	start := ready
 	if p.rxFree > start {
@@ -369,9 +397,9 @@ func (p *Port) Complete(r *memreq.Request, now int64) {
 	p.responses.Push(deliver, r)
 }
 
-// Tick implements memreq.Backend: the host-side half of Channel.Tick —
-// deliver due responses, admit due ingress onto the TX link. Device-side
-// work (stalled retries, link-arrival drain, DDR ticks) belongs to
+// Tick implements memreq.Backend for the host-side half: deliver due
+// responses, admit due ingress onto the TX link. Device-side work (stalled
+// retries, link-arrival drain, DDR ticks) belongs to
 // PooledDevice.TickDevice.
 func (p *Port) Tick(now int64) {
 	if now <= p.now {
@@ -379,6 +407,7 @@ func (p *Port) Tick(now int64) {
 	}
 	p.now = now
 
+	// Deliver due responses to the original requesters.
 	for {
 		r, ok := p.responses.PopDue(now)
 		if !ok {
@@ -390,6 +419,7 @@ func (p *Port) Tick(now int64) {
 		}
 	}
 
+	// Admit due ingress requests onto the TX link.
 	for {
 		r, ok := p.ingress.PopDue(now)
 		if !ok {
@@ -421,6 +451,8 @@ func (p *Port) tickDeviceSide(now int64) {
 		if !p.dev.ddrEnqueue(w.req, now) {
 			break
 		}
+		// Waiting for a DDR queue slot is memory queuing, not interface
+		// time; attribute it alongside controller-queue spill.
 		wait := uint64(now - w.since)
 		p.stats.RetryCycles += wait
 		p.dev.totalQueueCycles += wait
@@ -456,9 +488,10 @@ func (p *Port) noteForwarded(r *memreq.Request) {
 // NextEvent implements memreq.Backend for the host-side half only: the
 // earliest due response delivery or ingress admission. Device-side events
 // (link arrivals, DDR activity) are bounded by PooledDevice.NextEvent,
-// which the rack driver folds into the global cycle choice; after each
-// device phase it re-arms the owning system's cached bound with a fresh
-// call here (responses scheduled by the device phase only ever lower it).
+// which Channel.NextEvent and the rack driver fold in; after each rack
+// device phase the driver re-arms the owning system's cached bound with a
+// fresh call here (responses scheduled by the device phase only ever lower
+// it).
 func (p *Port) NextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 	if t, ok := p.responses.PeekAt(); ok && t < next {
@@ -482,8 +515,8 @@ func (p *Port) SetLazy(on bool) { p.dev.SetLazy(on) }
 func (p *Port) Sync(now int64) { p.dev.Sync(now) }
 
 // PeakGBs implements memreq.Backend: the DDR capacity behind the device
-// (the host's utilization is quoted against the full pool it can reach,
-// matching Channel.PeakGBs for one-port devices).
+// (the host's utilization is quoted against the full pool it can reach;
+// utilization in the paper's figures is quoted against DRAM peak).
 func (p *Port) PeakGBs() float64 { return p.dev.PeakGBs() }
 
 // Counters reports the DRAM activity attributable to this port. A sole
@@ -508,13 +541,13 @@ func (p *Port) Counters() dram.Counters {
 // ResetCounters zeroes the port's tallies and the device DDR counters
 // (idempotent across ports resetting at the same measurement boundary).
 func (p *Port) ResetCounters() {
-	p.stats = PortStats{}
+	p.stats = Stats{}
 	p.readBytes, p.writeBytes = 0, 0
 	p.dev.ResetCounters()
 }
 
 // LinkStats returns this port's link activity counters.
-func (p *Port) LinkStats() PortStats { return p.stats }
+func (p *Port) LinkStats() Stats { return p.stats }
 
 // SetCollectRetired enables buffering of writes that die inside the device
 // (committed with no requester completer) for the owning system's retired

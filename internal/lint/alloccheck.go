@@ -77,6 +77,8 @@ type AllocConfig struct {
 	// HotFuncs lists qualified names (pkgpath.Type.Method or pkgpath.Func)
 	// of the hot roots: functions whose bodies are checked directly.
 	// Everything they call is checked at the call site through summaries.
+	// An entry naming an analyzed package that declares no such function
+	// is itself a finding.
 	HotFuncs []string
 	// AllocFuncs lists qualified names of functions that always allocate
 	// (string formatting, error construction); calls to them from hot
@@ -117,15 +119,13 @@ func DefaultAllocConfig() AllocConfig {
 			"coaxial/internal/dram.SubChannel.Enqueue",
 			// cxl: link serialization, retry, and the retired drains.
 			"coaxial/internal/cxl.Channel.Tick",
-			"coaxial/internal/cxl.Channel.Enqueue",
-			"coaxial/internal/cxl.Channel.Complete",
 			"coaxial/internal/cxl.Channel.NextEvent",
 			"coaxial/internal/cxl.PooledDevice.TickDevice",
 			"coaxial/internal/cxl.Port.Tick",
 			"coaxial/internal/cxl.Port.Enqueue",
 			"coaxial/internal/cxl.Port.Complete",
 			// rack: the lockstep host/device phases.
-			"coaxial/internal/rack.rack.step",
+			"coaxial/internal/rack.rack.Step",
 		},
 		AllocFuncs: []string{
 			"fmt.Sprintf", "fmt.Sprint", "fmt.Sprintln",
@@ -176,6 +176,7 @@ func NewAllocCheck(cfg AllocConfig) *analysis.Analyzer {
 }
 
 func (a *alloccheckState) run(pass *analysis.Pass) error {
+	reportUnresolved(pass, "hot root", a.cfg.HotFuncs)
 	a.inferSummaries(pass)
 	a.reportPackage(pass)
 	return nil

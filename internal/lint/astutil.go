@@ -113,6 +113,46 @@ func funcQName(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
+// reportUnresolved reports every entry of a qualified-name table
+// (funcQName form: "pkgpath.Func" or "pkgpath.Type.Method") that names the
+// package under analysis but resolves to no function or method it
+// declares. Tables matched by name alone would otherwise drop a deleted or
+// renamed entry silently. what names the table in the message; findings
+// sit on the package clause of the package's first file.
+func reportUnresolved(pass *analysis.Pass, what string, table []string) {
+	if len(pass.Files) == 0 {
+		return
+	}
+	for _, q := range table {
+		rest, ok := strings.CutPrefix(q, pass.Pkg.Path()+".")
+		if ok && !declaresFunc(pass.Pkg, rest) {
+			pass.Reportf(pass.Files[0].Name.Pos(), "%s %s names no function declared in %s", what, q, pass.Pkg.Path())
+		}
+	}
+}
+
+// declaresFunc reports whether pkg declares the function "Name" or the
+// method "Type.Name" (promoted methods do not count: they are declared on
+// the embedded type).
+func declaresFunc(pkg *types.Package, name string) bool {
+	typ, method, isMethod := strings.Cut(name, ".")
+	if !isMethod {
+		_, ok := pkg.Scope().Lookup(name).(*types.Func)
+		return ok
+	}
+	tn, _ := pkg.Scope().Lookup(typ).(*types.TypeName)
+	if tn == nil {
+		return false
+	}
+	named := namedOf(tn.Type())
+	for i := 0; named != nil && i < named.NumMethods(); i++ {
+		if named.Method(i).Name() == method {
+			return true
+		}
+	}
+	return false
+}
+
 // namedOf unwraps pointers and aliases down to the *types.Named beneath a
 // type, or nil.
 func namedOf(t types.Type) *types.Named {

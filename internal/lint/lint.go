@@ -52,8 +52,7 @@ func Suite() []*analysis.Analyzer {
 		NewPurity(),
 		NewDeterminism(HotPathPackages),
 		NewPhaseIsolation(HotPathPackages, []string{
-			"coaxial/internal/sim.workerPool.run",
-			"coaxial/internal/rack.workerPool.run",
+			"coaxial/internal/sim.WorkerPool.Run",
 		}),
 		NewCounters(CounterConfig{
 			CounterTypes: []string{

@@ -14,9 +14,11 @@ import (
 // verifies probabilistically at runtime.
 //
 // spawners lists the pool entry points as "pkgpath.Recv.Name" (e.g.
-// "coaxial/internal/sim.workerPool.run"); the last func-literal argument of
+// "coaxial/internal/sim.WorkerPool.Run"); the last func-literal argument of
 // a spawner call is treated as a worker body whose first int parameter is
-// the worker index. Inside a worker body the analyzer allows:
+// the worker index. A spawner naming an analyzed package that declares no
+// such method is itself a finding. Inside a worker body the analyzer
+// allows:
 //
 //   - writes to locals declared inside the literal;
 //   - writes whose target path is indexed by the worker index or by a
@@ -39,6 +41,7 @@ func NewPhaseIsolation(scope, spawners []string) *analysis.Analyzer {
 		Doc:  "restricts parallel tick-phase workers to state derived from their own worker index",
 	}
 	a.Run = func(pass *analysis.Pass) error {
+		reportUnresolved(pass, "spawner", spawners)
 		if !pathPrefixes(pass.Pkg.Path(), scope) {
 			return nil
 		}
@@ -74,7 +77,7 @@ func lastFuncLit(call *ast.CallExpr) *ast.FuncLit {
 }
 
 // workerIndexParam returns the object of the literal's first parameter
-// (the worker index by the pool.run convention), or nil.
+// (the worker index by the WorkerPool.Run convention), or nil.
 func workerIndexParam(pass *analysis.Pass, lit *ast.FuncLit) types.Object {
 	params := lit.Type.Params
 	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {

@@ -11,6 +11,6 @@ import (
 func TestPhaseIsolation(t *testing.T) {
 	analysistest.Run(t, "testdata", []*analysis.Analyzer{
 		lint.NewPurity(), // supplies the write-free facts `limit` relies on
-		lint.NewPhaseIsolation(nil, []string{"pool.Pool.Run"}),
+		lint.NewPhaseIsolation(nil, []string{"pool.Pool.Run", "phasefix.system.fork"}),
 	}, "phasefix")
 }

@@ -2,8 +2,9 @@
 // composites/new/make, value-semantics copies (clean), un-hinted append
 // growth in loops, interface boxing, string conversions, always-allocating
 // calls, interprocedural summaries, //lint:allocfree roots, and
-// //lint:alloc suppression with mandatory justification.
-package allocfix
+// //lint:alloc suppression with mandatory justification. The hot-root
+// table also names a function and a method the package does not declare.
+package allocfix // want `hot root allocfix.removedRoot names no function declared in allocfix` `hot root allocfix.node.gone names no function declared in allocfix`
 
 import "fmt"
 

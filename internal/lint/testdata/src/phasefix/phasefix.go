@@ -1,6 +1,7 @@
 // Phase-isolation fixtures: workers handed to pool.Pool.Run (a configured
-// spawner) may only touch state derived from their worker index.
-package phasefix
+// spawner) may only touch state derived from their worker index. The
+// spawner table also names a method this package does not declare.
+package phasefix // want `spawner phasefix.system.fork names no function declared in phasefix`
 
 import "pool"
 

@@ -155,13 +155,13 @@ func DefaultUnitConfig() UnitConfig {
 			"coaxial/internal/clock.SerializationCycles": "bytes, GB/s -> cycles",
 
 			// DDR5 timing constraints are all in command-clock cycles.
-			"coaxial/internal/dram.Timing.*":                 "cycles",
-			"coaxial/internal/dram.Config.RowBytes":          "bytes",
-			"coaxial/internal/dram.Config.PeakGBsPerSub":     "GB/s",
-			"coaxial/internal/dram.Config.PeakGBs":           "-> GB/s",
-			"coaxial/internal/dram.Channel.PeakGBs":          "-> GB/s",
-			"coaxial/internal/dram.Counters.ReadBytes":       "bytes",
-			"coaxial/internal/dram.Counters.WriteBytes":      "bytes",
+			"coaxial/internal/dram.Timing.*":                  "cycles",
+			"coaxial/internal/dram.Config.RowBytes":           "bytes",
+			"coaxial/internal/dram.Config.PeakGBsPerSub":      "GB/s",
+			"coaxial/internal/dram.Config.PeakGBs":            "-> GB/s",
+			"coaxial/internal/dram.Channel.PeakGBs":           "-> GB/s",
+			"coaxial/internal/dram.Counters.ReadBytes":        "bytes",
+			"coaxial/internal/dram.Counters.WriteBytes":       "bytes",
 			"coaxial/internal/dram.Counters.ActiveBankCycles": "cycles",
 
 			// CXL link parameters: port latency in ns, goodput in GB/s.
@@ -172,7 +172,8 @@ func DefaultUnitConfig() UnitConfig {
 			"coaxial/internal/cxl.LinkParams.WithPortNS":          "ns -> _",
 			"coaxial/internal/cxl.LinkParams.UnloadedReadAdderNS": "-> ns",
 			"coaxial/internal/cxl.Stats.RetryCycles":              "cycles",
-			"coaxial/internal/cxl.Channel.PeakGBs":                "-> GB/s",
+			"coaxial/internal/cxl.Port.PeakGBs":                   "-> GB/s",
+			"coaxial/internal/cxl.PooledDevice.PeakGBs":           "-> GB/s",
 
 			// NoC hop latency.
 			"coaxial/internal/noc.Mesh.HopCycles": "cycles",
@@ -182,13 +183,13 @@ func DefaultUnitConfig() UnitConfig {
 			"coaxial/internal/memreq.LineSize": "bytes",
 
 			// Stats accumulators and bandwidth conversions.
-			"coaxial/internal/stats.GBs":           "bytes, cycles -> GB/s",
-			"coaxial/internal/stats.Utilization":   "GB/s, GB/s -> dimensionless",
-			"coaxial/internal/stats.Breakdown.Add": "cycles, cycles, cycles, cycles ->",
-			"coaxial/internal/stats.Breakdown.OnChip":  "cycles",
-			"coaxial/internal/stats.Breakdown.Queue":   "cycles",
-			"coaxial/internal/stats.Breakdown.Service": "cycles",
-			"coaxial/internal/stats.Breakdown.CXL":     "cycles",
+			"coaxial/internal/stats.GBs":                  "bytes, cycles -> GB/s",
+			"coaxial/internal/stats.Utilization":          "GB/s, GB/s -> dimensionless",
+			"coaxial/internal/stats.Breakdown.Add":        "cycles, cycles, cycles, cycles ->",
+			"coaxial/internal/stats.Breakdown.OnChip":     "cycles",
+			"coaxial/internal/stats.Breakdown.Queue":      "cycles",
+			"coaxial/internal/stats.Breakdown.Service":    "cycles",
+			"coaxial/internal/stats.Breakdown.CXL":        "cycles",
 			"coaxial/internal/stats.Bandwidth.ReadBytes":  "bytes",
 			"coaxial/internal/stats.Bandwidth.WriteBytes": "bytes",
 			"coaxial/internal/stats.Bandwidth.AddRead":    "bytes ->",

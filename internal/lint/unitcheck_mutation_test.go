@@ -32,83 +32,98 @@ type unitMutation struct {
 func unitMutations() []unitMutation {
 	return []unitMutation{
 		{
-			name: "cxl-port-conversion-dropped",
-			file: "internal/cxl/cxl.go",
-			old:  "func (p LinkParams) portCycles() int64 { return clock.Cycles(p.PortNS) }",
-			new:  "func (p LinkParams) portCycles() int64 { return int64(p.PortNS) }",
+			name:     "cxl-port-conversion-dropped",
+			file:     "internal/cxl/pooled.go",
+			old:      "port:         link.portCycles(),",
+			new:      "port:         int64(link.PortNS),",
 			patterns: []string{"coaxial/internal/cxl"},
 			wantSub:  "declared cycles, got ns",
 		},
 		{
-			name: "cxl-complete-raw-portns",
-			file: "internal/cxl/cxl.go",
-			old:  "ready := now + c.port\n\tstart := ready",
-			new:  "ready := now + int64(c.cfg.Link.PortNS)\n\tstart := ready",
-			patterns: []string{"coaxial/internal/cxl"},
+			name:     "cxl-complete-raw-portns",
+			file:     "internal/cxl/pooled.go",
+			old:      pooledImports,
+			new:      pooledImportsClock,
+			patterns: []string{"coaxial/internal/clock", "coaxial/internal/cxl"},
 			wantSub:  "cross-dimension arithmetic: cycles + ns",
 		},
 		{
-			name: "cxl-enqueue-compare-ns",
-			file: "internal/cxl/cxl.go",
-			old:  "if at < c.now {",
-			new:  "if at < int64(clock.NS(c.now)) {",
-			patterns: []string{"coaxial/internal/cxl"},
+			name:     "cxl-enqueue-compare-ns",
+			file:     "internal/cxl/pooled.go",
+			old:      pooledImports,
+			new:      pooledImportsClock,
+			patterns: []string{"coaxial/internal/clock", "coaxial/internal/cxl"},
 			wantSub:  "comparing cycles to ns",
 		},
 		{
-			name: "cxl-serialization-args-swapped",
-			file: "internal/cxl/cxl.go",
-			old:  "return clock.SerializationCycles(memreq.LineSize, p.RXGoodputGBs)",
-			new:  "return clock.SerializationCycles(int(p.RXGoodputGBs), float64(memreq.LineSize))",
+			name:     "cxl-serialization-args-swapped",
+			file:     "internal/cxl/cxl.go",
+			old:      "return clock.SerializationCycles(memreq.LineSize, p.RXGoodputGBs)",
+			new:      "return clock.SerializationCycles(int(p.RXGoodputGBs), float64(memreq.LineSize))",
 			patterns: []string{"coaxial/internal/cxl"},
 			wantSub:  "is GB/s, parameter is declared bytes",
 		},
 		{
-			name: "dram-rcd-double-converted",
-			file: "internal/dram/subchannel.go",
-			old:  "import (\n\t\"math\"\n\t\"math/bits\"\n\n\t\"coaxial/internal/memreq\"\n)",
-			new:  "import (\n\t\"math\"\n\t\"math/bits\"\n\n\t\"coaxial/internal/clock\"\n\t\"coaxial/internal/memreq\"\n)",
+			name:     "dram-rcd-double-converted",
+			file:     "internal/dram/subchannel.go",
+			old:      "import (\n\t\"math\"\n\t\"math/bits\"\n\n\t\"coaxial/internal/memreq\"\n)",
+			new:      "import (\n\t\"math\"\n\t\"math/bits\"\n\n\t\"coaxial/internal/clock\"\n\t\"coaxial/internal/memreq\"\n)",
 			patterns: []string{"coaxial/internal/clock", "coaxial/internal/dram"},
 			wantSub:  "cross-dimension arithmetic: cycles + ns",
 		},
 		{
-			name: "noc-latency-returns-ns",
-			file: "internal/noc/noc.go",
-			old:  "package noc",
-			new:  "package noc\n\nimport \"coaxial/internal/clock\"",
+			name:     "noc-latency-returns-ns",
+			file:     "internal/noc/noc.go",
+			old:      "package noc",
+			new:      "package noc\n\nimport \"coaxial/internal/clock\"",
 			patterns: []string{"coaxial/internal/clock", "coaxial/internal/noc"},
 			wantSub:  "return of ns: Latency is declared to return cycles",
 		},
 		{
-			name: "cpu-token-ready-in-ns",
-			file: "internal/cpu/core.go",
-			old:  "import (\n\t\"math\"\n\n\t\"coaxial/internal/memreq\"",
-			new:  "import (\n\t\"math\"\n\n\t\"coaxial/internal/clock\"\n\t\"coaxial/internal/memreq\"",
+			name:     "cpu-token-ready-in-ns",
+			file:     "internal/cpu/core.go",
+			old:      "import (\n\t\"math\"\n\n\t\"coaxial/internal/memreq\"",
+			new:      "import (\n\t\"math\"\n\n\t\"coaxial/internal/clock\"\n\t\"coaxial/internal/memreq\"",
 			patterns: []string{"coaxial/internal/clock", "coaxial/internal/cpu"},
 			wantSub:  "assigning ns to field tokenReadyAt, which is declared cycles",
 		},
 		{
-			name: "stats-gbs-returns-bytes-per-cycle",
-			file: "internal/stats/stats.go",
-			old:  "seconds := float64(cycles) / (clock.FreqGHz * 1e9)\n\treturn float64(bytes) / 1e9 / seconds",
-			new:  "seconds := float64(cycles) / (clock.FreqGHz * 1e9)\n\t_ = seconds\n\treturn float64(bytes) / float64(cycles)",
+			name:     "stats-gbs-returns-bytes-per-cycle",
+			file:     "internal/stats/stats.go",
+			old:      "seconds := float64(cycles) / (clock.FreqGHz * 1e9)\n\treturn float64(bytes) / 1e9 / seconds",
+			new:      "seconds := float64(cycles) / (clock.FreqGHz * 1e9)\n\t_ = seconds\n\treturn float64(bytes) / float64(cycles)",
 			patterns: []string{"coaxial/internal/stats"},
 			wantSub:  "return of bytes/cycle: GBs is declared to return GB/s",
 		},
 		{
-			name: "calm-peak-conversion-dropped",
-			file: "internal/calm/regulated.go",
-			old:  "peakBytesCyc: clock.BytesPerCycle(peakGBs),",
-			new:  "peakBytesCyc: peakGBs,",
+			name:     "calm-peak-conversion-dropped",
+			file:     "internal/calm/regulated.go",
+			old:      "peakBytesCyc: clock.BytesPerCycle(peakGBs),",
+			new:      "peakBytesCyc: peakGBs,",
 			patterns: []string{"coaxial/internal/calm"},
 			wantSub:  "declared bytes/cycle, got GB/s",
 		},
 	}
 }
 
+// pooledImports is the cxl port/device file's import block; the CXL
+// mutations add the clock package to it so they can convert to ns.
+const (
+	pooledImports      = "import (\n\t\"math\"\n\n\t\"coaxial/internal/dram\""
+	pooledImportsClock = "import (\n\t\"math\"\n\n\t\"coaxial/internal/clock\"\n\t\"coaxial/internal/dram\""
+)
+
 // secondEdit covers mutations that need a second replacement beyond the
 // import-block edit stored in old/new.
 var secondEdit = map[string][2]string{
+	"cxl-complete-raw-portns": {
+		"ready := now + p.port\n\tstart := ready",
+		"ready := now + int64(clock.NS(p.port))\n\tstart := ready",
+	},
+	"cxl-enqueue-compare-ns": {
+		"if at < p.now {",
+		"if at < int64(clock.NS(p.now)) {",
+	},
 	"dram-rcd-double-converted": {
 		"s.casReady[bnk] = now + s.t.RCD",
 		"s.casReady[bnk] = now + int64(clock.NS(s.t.RCD))",

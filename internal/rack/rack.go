@@ -60,11 +60,16 @@ type Config struct {
 	Pooled []cxl.PooledDeviceConfig
 }
 
-// Validate checks rack-level configuration invariants (each host Config is
-// validated by its own constructor).
+// Validate checks rack-level configuration invariants and every host
+// Config.
 func (c Config) Validate() error {
 	if len(c.Hosts) < 1 {
 		return fmt.Errorf("rack: %q: needs >= 1 host", c.Name)
+	}
+	for h, hc := range c.Hosts {
+		if err := hc.Validate(); err != nil {
+			return fmt.Errorf("rack: %q host %d: %w", c.Name, h, err)
+		}
 	}
 	if len(c.Pooled) > 0 {
 		for h, hc := range c.Hosts {
@@ -169,39 +174,33 @@ func RunFrom(ctx context.Context, cfg Config, workloads [][]trace.Workload, rc s
 	if warm != nil && len(warm) != len(cfg.Hosts) {
 		return Result{}, fmt.Errorf("rack: %q: %d warm states for %d hosts", cfg.Name, len(warm), len(cfg.Hosts))
 	}
-	if rc.MeasureInstr == 0 {
-		return Result{}, fmt.Errorf("rack: zero measure window")
+	if err := rc.CheckWindows(); err != nil {
+		return Result{}, fmt.Errorf("rack: %q: %w", cfg.Name, err)
 	}
 	if rc.SampleDetailInstr > 0 && rc.SampleFastFwdInstr > 0 {
 		return Result{}, fmt.Errorf("rack: sampled simulation is incompatible with lockstep multi-host runs")
-	}
-	if rc.MaxCyclesPerInstr <= 0 {
-		rc.MaxCyclesPerInstr = 400
 	}
 	rk, err := build(cfg, workloads, rc, warm)
 	if err != nil {
 		return Result{}, err
 	}
 	defer rk.close()
-	return rk.run(ctx, workloads, rc)
+	var res Result
+	err = sim.RunWindows(ctx, rk, "rack: "+cfg.Name, rc, func() { res = rk.collect(workloads) })
+	return res, err
 }
 
-// rack is one assembled topology mid-run.
+// rack is one assembled topology mid-run. It implements sim.Machine, so
+// the single-host phase loop and timed-window driver run it.
 type rack struct {
 	cfg      Config
 	hosts    []*sim.System
 	ports    [][]*cxl.Port // per host, in channel order; nil when unpooled
 	devices  []*cxl.PooledDevice
-	pool     *workerPool
+	pool     *sim.WorkerPool
 	clocking sim.Clocking
 	validate bool
 	oracles  []*validate.Oracle
-
-	// progress, when non-nil, observes rack-level phase progress at the
-	// cancellation-poll boundaries (RunConfig.OnProgress); measuring
-	// selects the reported phase label.
-	progress  func(sim.Progress)
-	measuring bool
 
 	now          int64
 	measureStart int64
@@ -211,7 +210,7 @@ type rack struct {
 // (attach order is the devices' arbitration order), runs each host's
 // untimed warmup (or clones its warm snapshot), and wires validation.
 func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*sim.WarmState) (*rack, error) {
-	rk := &rack{cfg: cfg, clocking: rc.Clocking, validate: rc.Validate, progress: rc.OnProgress}
+	rk := &rack{cfg: cfg, clocking: rc.Clocking, validate: rc.Validate}
 	for i, dcfg := range cfg.Pooled {
 		if dcfg.Name == "" {
 			dcfg.Name = fmt.Sprintf("pool%d", i)
@@ -236,17 +235,12 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 			hp.Backends = backends
 		}
 		hrc := HostRunConfig(rc, cfg, h)
-		hrc.OnProgress = nil // the rack emits rack-level progress itself
 		var sys *sim.System
 		var err error
 		if warm != nil && warm[h] != nil {
 			sys, err = sim.NewWarmSystem(hcfg, warm[h], hrc, hp)
 		} else if sys, err = sim.NewHostSystem(hcfg, workloads[h], hrc.Seed, hp); err == nil {
-			sys.SetParallelism(hrc.Parallelism)
-			sys.SetClocking(hrc.Clocking)
-			if hrc.Validate {
-				sys.EnableValidation()
-			}
+			sys.Configure(hrc)
 			sys.Prewarm(hrc)
 		}
 		if err != nil {
@@ -257,7 +251,7 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 		rk.ports = append(rk.ports, ports)
 	}
 	if rc.RackParallelism > 1 && len(rk.hosts) > 1 {
-		rk.pool = newWorkerPool(rc.RackParallelism - 1)
+		rk.pool = sim.NewWorkerPool(rc.RackParallelism - 1)
 	}
 	if rc.Validate {
 		rk.wireValidation()
@@ -308,97 +302,43 @@ func (rk *rack) close() {
 			s.Close()
 		}
 	}
-	rk.pool.close()
+	rk.pool.Close()
 }
 
-// run executes the timed warmup and measure windows in lockstep, then
-// collects per-host results and rack aggregates. Mirrors the single-host
-// timedPhases contract: on cancellation the partial measurements return
-// alongside the wrapped ctx error; end-of-window validation runs on the
-// success path only.
-func (rk *rack) run(ctx context.Context, workloads [][]trace.Workload, rc sim.RunConfig) (Result, error) {
-	if rc.WarmupInstr > 0 {
-		if err := rk.runPhase(ctx, rc.WarmupInstr, sim.MaxCycles(rc.WarmupInstr, rc)); err != nil {
-			if ctx.Err() != nil {
-				return rk.collect(workloads), err
-			}
-			return Result{}, err
-		}
-	}
-	rk.beginMeasurement()
-	if err := rk.runPhase(ctx, rc.MeasureInstr, sim.MaxCycles(rc.MeasureInstr, rc)); err != nil {
-		if ctx.Err() != nil {
-			return rk.collect(workloads), err
-		}
-		return Result{}, err
-	}
-	res := rk.collect(workloads)
-	return res, rk.validationError()
-}
+// Now implements sim.Stepper: the rack's lockstep cycle.
+func (rk *rack) Now() int64 { return rk.now }
 
-// ctxCheckCycles is the cancellation-poll granularity, matching the
-// single-host loop.
-const ctxCheckCycles = 4096
-
-// runPhase steps the rack until every core of every host retires `target`
-// instructions (counted from the last measurement reset), bounded by
-// maxCycles and ctx cancellation.
-func (rk *rack) runPhase(ctx context.Context, target uint64, maxCycles int64) error {
+// SetTarget implements sim.Stepper: every host's cores retire target
+// instructions per phase.
+func (rk *rack) SetTarget(target uint64) {
 	for _, s := range rk.hosts {
 		s.SetTarget(target)
 	}
-	start := rk.now
-	limit := rk.now + maxCycles
-	nextCheck := rk.now + ctxCheckCycles
-	for {
-		done := true
-		for _, s := range rk.hosts {
-			if !s.Done() {
-				done = false
-				break
-			}
-		}
-		if done {
-			if rk.progress != nil {
-				rk.emitProgress(target, start)
-			}
-			return nil
-		}
-		if rk.now >= limit {
-			return fmt.Errorf("rack: %s: exceeded cycle budget (%d cycles for %d instructions)",
-				rk.cfg.Name, maxCycles, target)
-		}
-		if rk.now >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("rack: %s: stopped at cycle %d: %w", rk.cfg.Name, rk.now, err)
-			}
-			if rk.progress != nil {
-				rk.emitProgress(target, start)
-			}
-			nextCheck = rk.now + ctxCheckCycles
-		}
-		rk.step(limit)
-	}
 }
 
-// emitProgress delivers one rack-level observation: the slowest core of the
-// slowest host toward the lockstep phase target.
-func (rk *rack) emitProgress(target uint64, start int64) {
-	p := sim.Progress{Phase: "warmup", Cycles: rk.now - start, Retired: target, Target: target}
-	if rk.measuring {
-		p.Phase = "measure"
-	}
+// Done implements sim.Stepper: every core of every host reached its target.
+func (rk *rack) Done() bool {
 	for _, s := range rk.hosts {
-		if r := s.PhaseRetired(target); r < p.Retired {
-			p.Retired = r
+		if !s.Done() {
+			return false
 		}
 	}
-	rk.progress(p)
+	return true
 }
 
-// step advances the whole rack one chosen cycle: the phased H/D/E tick
-// documented in the package comment.
-func (rk *rack) step(limit int64) {
+// PhaseRetired implements sim.Stepper: the slowest core of the slowest
+// host toward the lockstep phase target.
+func (rk *rack) PhaseRetired(target uint64) uint64 {
+	retired := target
+	for _, s := range rk.hosts {
+		retired = min(retired, s.PhaseRetired(target))
+	}
+	return retired
+}
+
+// Step implements sim.Stepper: the whole rack advances one chosen cycle,
+// the phased H/D/E tick documented in the package comment.
+func (rk *rack) Step(limit int64) (int64, bool) {
 	next := rk.now + 1
 	if rk.clocking == sim.EventDriven {
 		next = limit
@@ -423,7 +363,7 @@ func (rk *rack) step(limit int64) {
 	// share nothing within the phase.
 	if rk.pool != nil {
 		hosts := rk.hosts
-		rk.pool.run(len(hosts), func(i int) { hosts[i].TickCycle(next) })
+		rk.pool.Run(len(hosts), func(i int) { hosts[i].TickCycle(next) })
 	} else {
 		for _, s := range rk.hosts {
 			s.TickCycle(next)
@@ -448,19 +388,20 @@ func (rk *rack) step(limit int64) {
 		s.DrainRetiredNow()
 	}
 	rk.now = next
+	return next, rk.Done()
 }
 
-// beginMeasurement zeroes all measurement state at the warmup boundary:
-// per-host counters (which also reset the shared devices' DDR counters,
-// idempotently) plus the rack-level device queueing and fairness tallies.
-func (rk *rack) beginMeasurement() {
+// BeginMeasurement implements sim.Machine: it zeroes all measurement state
+// at the warmup boundary — per-host counters (which also reset the shared
+// devices' DDR counters, idempotently) plus the rack-level device queueing
+// and fairness tallies.
+func (rk *rack) BeginMeasurement() {
 	for _, s := range rk.hosts {
 		s.BeginMeasurement()
 	}
 	for _, d := range rk.devices {
 		d.ResetStats()
 	}
-	rk.measuring = true
 	rk.measureStart = rk.now
 }
 
@@ -550,11 +491,11 @@ func (r Result) Summary() sim.Result {
 	return s
 }
 
-// validationError aggregates the rack's end-of-window checks: each host's
-// own harness report, device DDR queue-occupancy bounds, and the shared
-// devices' timing oracles. Returns nil when validation is off or every
-// check passed.
-func (rk *rack) validationError() error {
+// ValidationReport implements sim.Machine: it aggregates the rack's
+// end-of-window checks — each host's own harness report, device DDR
+// queue-occupancy bounds, and the shared devices' timing oracles. Returns
+// nil when validation is off or every check passed.
+func (rk *rack) ValidationReport() error {
 	if !rk.validate {
 		return nil
 	}

@@ -6,11 +6,11 @@ import (
 )
 
 // This file is the external driver surface of a System: the handles a
-// multi-host topology (internal/rack) needs to run hosts in lockstep under
-// its own phased loop instead of System's private runPhase. The methods
-// re-expose existing sequential-phase internals unchanged, so a driver
-// composing them in the documented order reproduces runPhase bit-exactly
-// (the 1-host leg of TestRackClockingEquivalence pins this).
+// multi-host topology (internal/rack) needs to step hosts in lockstep
+// under its own phased cycle instead of System.Step. The methods re-expose
+// existing sequential-phase internals unchanged, so a driver composing
+// them in the documented order reproduces Step bit-exactly (the 1-host leg
+// of TestRackClockingEquivalence pins this).
 //
 // Per-cycle protocol for a rack step to cycle `next`:
 //
@@ -79,9 +79,20 @@ func (s *System) WakeBackendAt(ch int, at int64) { s.wakeBackend(ch, at) }
 // the rack's sequential per-host phase E; harmlessly idempotent.
 func (s *System) DrainRetiredNow() { s.drainRetired() }
 
+// Configure applies rc's per-system settings — tick parallelism, clocking,
+// and the validation harness — to a freshly built system, before its first
+// tick. Every run path calls it.
+func (s *System) Configure(rc RunConfig) {
+	s.SetParallelism(rc.Parallelism)
+	s.SetClocking(rc.Clocking)
+	if rc.Validate {
+		s.EnableValidation()
+	}
+}
+
 // Prewarm runs the untimed warmup (LLC pre-fill from the construction
-// hints plus functional warmup) per rc, exactly as RunMixCtx does before
-// its timed phases.
+// hints plus functional warmup) per rc: every cold-start run and every
+// warm-state capture begins with it.
 func (s *System) Prewarm(rc RunConfig) {
 	if rc.SkipFunctional {
 		return
@@ -99,7 +110,7 @@ func (s *System) BeginMeasurement() { s.resetStats() }
 
 // Collect snapshots the host's measurements after the measure phase (see
 // collect). workloads labels the result; it may be nil.
-func (s *System) Collect(workloads []trace.Workload) Result { return s.collect(workloads) }
+func (s *System) Collect(workloads []trace.Workload) Result { return s.collect(mixLabel(workloads)) }
 
 // ValidationReport runs the end-of-window validation checks and returns
 // the aggregated *ValidationError, or nil — when validation is enabled and
@@ -114,15 +125,4 @@ func (s *System) ValidationReport() error { return s.validationError() }
 // each such request exactly once.
 func (s *System) AddPendingWalker(w func(func(*memreq.Request))) {
 	s.extraPending = append(s.extraPending, w)
-}
-
-// MaxCycles bounds a phase of target per-core instructions under rc's
-// runaway budget, mirroring runPhase's limit arithmetic for external
-// drivers.
-func MaxCycles(target uint64, rc RunConfig) int64 {
-	maxPer := rc.MaxCyclesPerInstr
-	if maxPer <= 0 {
-		maxPer = 400
-	}
-	return int64(target)*maxPer + 1_000_000
 }

@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// workerPool runs the parallel phases of a tick (core ticks, backend
-// ticks) across a fixed set of goroutines. Workers are persistent and
-// block on a channel between phases — no spinning — so an idle pool costs
-// nothing; the caller participates in every phase, so a pool of size n-1
-// yields n-way parallelism.
-type workerPool struct {
+// WorkerPool runs the parallel phases of a tick — a System's core and
+// backend ticks, a rack's host phase — across a fixed set of goroutines.
+// Workers are persistent and block on a channel between phases — no
+// spinning — so an idle pool costs nothing; the caller participates in
+// every phase, so a pool of size n-1 yields n-way parallelism.
+type WorkerPool struct {
 	tasks chan poolTask
 	size  int
 }
@@ -24,8 +24,9 @@ type poolTask struct {
 	wg  *sync.WaitGroup
 }
 
-func newWorkerPool(size int) *workerPool {
-	p := &workerPool{size: size, tasks: make(chan poolTask)}
+// NewWorkerPool starts a pool of size helper goroutines.
+func NewWorkerPool(size int) *WorkerPool {
+	p := &WorkerPool{size: size, tasks: make(chan poolTask)}
 	for w := 0; w < size; w++ {
 		go func() {
 			for t := range p.tasks {
@@ -43,9 +44,9 @@ func newWorkerPool(size int) *workerPool {
 	return p
 }
 
-// run applies fn to every index in [0, n) across the pool plus the calling
+// Run applies fn to every index in [0, n) across the pool plus the calling
 // goroutine, returning when all calls have completed (the phase barrier).
-func (p *workerPool) run(n int, fn func(int)) {
+func (p *WorkerPool) Run(n int, fn func(int)) {
 	var idx atomic.Int64
 	var wg sync.WaitGroup
 	helpers := p.size
@@ -67,8 +68,8 @@ func (p *workerPool) run(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// close releases the pool's goroutines. Safe on a nil pool.
-func (p *workerPool) close() {
+// Close releases the pool's goroutines. Safe on a nil pool.
+func (p *WorkerPool) Close() {
 	if p != nil {
 		close(p.tasks)
 	}

@@ -29,7 +29,8 @@ type RunConfig struct {
 	// Seed determinizes workload generation.
 	Seed uint64
 	// MaxCyclesPerInstr bounds runaway simulations (cycles budget =
-	// MaxCyclesPerInstr * instructions, per phase). Default 400.
+	// MaxCyclesPerInstr * instructions, per phase; see MaxCycles). Default
+	// 400.
 	MaxCyclesPerInstr int64
 	// Clocking selects the main-loop time-advance strategy; the zero value
 	// is EventDriven. CycleByCycle is the bit-identical reference loop
@@ -182,32 +183,35 @@ func RunMix(cfg Config, workloads []trace.Workload, rc RunConfig) (Result, error
 // with an error wrapping the ctx cause; callers must treat the Result as
 // incomplete whenever err != nil.
 func RunMixCtx(ctx context.Context, cfg Config, workloads []trace.Workload, rc RunConfig) (Result, error) {
-	if rc.MeasureInstr == 0 {
-		return Result{}, fmt.Errorf("sim: zero measure window")
-	}
-	if rc.MaxCyclesPerInstr <= 0 {
-		rc.MaxCyclesPerInstr = 400
-	}
-	sys, err := NewSystem(cfg, workloads, rc.Seed)
+	gens, hints, err := synthetic(cfg, workloads, rc.Seed, HostParams{})
 	if err != nil {
 		return Result{}, err
 	}
-	sys.SetParallelism(rc.Parallelism)
+	return runGens(ctx, cfg, gens, hints, rc, mixLabel(workloads))
+}
+
+// RunGenerators executes one experiment over caller-provided generators
+// (e.g. trace replays). hints may be nil (no LLC pre-fill; the trace
+// should carry its own warmup).
+func RunGenerators(cfg Config, gens []trace.Generator, hints []trace.Params, rc RunConfig) (Result, error) {
+	return runGens(context.Background(), cfg, gens, hints, rc, traceMixLabel(gens))
+}
+
+// runGens is the one cold-start run path under RunMixCtx and
+// RunGenerators: build the system over gens, apply rc, run the untimed
+// warmup, then the timed windows. label names the result's workload.
+func runGens(ctx context.Context, cfg Config, gens []trace.Generator, hints []trace.Params, rc RunConfig, label string) (Result, error) {
+	if err := rc.CheckWindows(); err != nil {
+		return Result{}, err
+	}
+	sys, err := newSystemGens(cfg, gens, hints, HostParams{})
+	if err != nil {
+		return Result{}, err
+	}
 	defer sys.Close()
-	sys.SetClocking(rc.Clocking)
-	sys.SetProgress(rc.OnProgress)
-	if rc.Validate {
-		sys.EnableValidation()
-	}
-	if !rc.SkipFunctional {
-		hints := make([]trace.Params, len(workloads))
-		for i, w := range workloads {
-			hints[i] = w.Params
-		}
-		sys.prefillLLC(hints, rc.Seed)
-		sys.functionalWarmup(rc.functionalInstr())
-	}
-	return sys.timedPhases(ctx, workloads, rc)
+	sys.Configure(rc)
+	sys.Prewarm(rc)
+	return sys.timedPhases(ctx, label, rc)
 }
 
 // functionalInstr resolves the functional-warmup budget.
@@ -219,95 +223,21 @@ func (rc RunConfig) functionalInstr() uint64 {
 }
 
 // timedPhases runs the timed warmup and measure windows on an
-// already-warmed system. On cancellation it returns the partial
-// measurements alongside the wrapped ctx error.
-func (s *System) timedPhases(ctx context.Context, workloads []trace.Workload, rc RunConfig) (Result, error) {
-	if rc.WarmupInstr > 0 {
-		budget := int64(rc.WarmupInstr)*rc.MaxCyclesPerInstr + 1_000_000
-		if err := s.runPhase(ctx, rc.WarmupInstr, budget); err != nil {
-			if ctx.Err() != nil {
-				return s.collect(workloads), err
-			}
-			return Result{}, err
-		}
-	}
-	s.resetStats()
-	if rc.SampleDetailInstr > 0 && rc.SampleFastFwdInstr > 0 {
-		if err := s.runMeasureSampled(ctx, rc); err != nil {
-			if ctx.Err() != nil {
-				return s.collect(workloads), err
-			}
-			return Result{}, err
-		}
-	} else {
-		budget := int64(rc.MeasureInstr)*rc.MaxCyclesPerInstr + 1_000_000
-		if err := s.runPhase(ctx, rc.MeasureInstr, budget); err != nil {
-			if ctx.Err() != nil {
-				return s.collect(workloads), err
-			}
-			return Result{}, err
-		}
-	}
-	res := s.collect(workloads)
-	// End-of-window validation runs on the success path only: a cancelled
-	// run legitimately leaves requests in flight. The Result is complete
-	// either way.
-	return res, s.validationError()
+// already-warmed system (RunWindows) and collects the result; label names
+// its workload.
+func (s *System) timedPhases(ctx context.Context, label string, rc RunConfig) (Result, error) {
+	var res Result
+	err := RunWindows(ctx, s, "sim: "+s.cfg.Name, rc, func() { res = s.collect(label) })
+	return res, err
 }
 
-// RunGenerators executes one experiment over caller-provided generators
-// (e.g. trace replays). hints may be nil (no LLC pre-fill; the trace
-// should carry its own warmup).
-func RunGenerators(cfg Config, gens []trace.Generator, hints []trace.Params, rc RunConfig) (Result, error) {
-	if rc.MeasureInstr == 0 {
-		return Result{}, fmt.Errorf("sim: zero measure window")
-	}
-	if rc.MaxCyclesPerInstr <= 0 {
-		rc.MaxCyclesPerInstr = 400
-	}
-	sys, err := NewSystemGens(cfg, gens, hints)
-	if err != nil {
-		return Result{}, err
-	}
-	sys.SetParallelism(rc.Parallelism)
-	defer sys.Close()
-	sys.SetClocking(rc.Clocking)
-	sys.SetProgress(rc.OnProgress)
-	if rc.Validate {
-		sys.EnableValidation()
-	}
-	if !rc.SkipFunctional {
-		if hints != nil {
-			sys.prefillLLC(hints, rc.Seed)
-		}
-		sys.functionalWarmup(rc.functionalInstr())
-	}
-	res, err := sys.timedPhases(context.Background(), nil, rc)
-	if err != nil {
-		return Result{}, err
-	}
-	names := make([]string, 0, len(gens))
-	for _, g := range gens {
-		names = append(names, g.Name())
-	}
-	if len(names) > 0 {
-		res.Workload = names[0]
-		for _, n := range names[1:] {
-			if n != res.Workload {
-				res.Workload = fmt.Sprintf("trace-mix[%s,...x%d]", names[0], len(names))
-				break
-			}
-		}
-	}
-	return res, nil
-}
-
-// collect snapshots measurements after the measure phase.
-func (s *System) collect(workloads []trace.Workload) Result {
+// collect snapshots measurements after the measure phase; label names the
+// workload.
+func (s *System) collect(label string) Result {
 	s.syncClock()
 	res := Result{
 		Config:      s.cfg.Name,
-		Workload:    mixLabel(workloads),
+		Workload:    label,
 		PeakGBs:     s.peakGBs(),
 		CALM:        s.policy.Decisions(),
 		FPDiscarded: s.fpDiscarded,
@@ -350,17 +280,7 @@ func (s *System) collect(workloads []trace.Workload) Result {
 
 	var dc dram.Counters
 	for _, b := range s.backends {
-		c := b.Counters()
-		dc.ACT += c.ACT
-		dc.PRE += c.PRE
-		dc.RD += c.RD
-		dc.WR += c.WR
-		dc.REF += c.REF
-		dc.ReadBytes += c.ReadBytes
-		dc.WriteBytes += c.WriteBytes
-		dc.ActiveBankCycles += c.ActiveBankCycles
-		dc.RowHits += c.RowHits
-		dc.RowMisses += c.RowMisses
+		dc.Accumulate(b.Counters())
 	}
 	res.DRAM = dc
 	res.ReadGBs = stats.GBs(dc.ReadBytes, window)
@@ -400,6 +320,20 @@ func mixLabel(workloads []trace.Workload) string {
 	for _, w := range workloads[1:] {
 		if w.Params.Name != first {
 			return fmt.Sprintf("mix[%s,...x%d]", first, len(workloads))
+		}
+	}
+	return first
+}
+
+// traceMixLabel names a generator assignment, as mixLabel does workloads.
+func traceMixLabel(gens []trace.Generator) string {
+	if len(gens) == 0 {
+		return ""
+	}
+	first := gens[0].Name()
+	for _, g := range gens[1:] {
+		if g.Name() != first {
+			return fmt.Sprintf("trace-mix[%s,...x%d]", first, len(gens))
 		}
 	}
 	return first

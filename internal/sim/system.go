@@ -191,10 +191,6 @@ type System struct {
 	llcProbe    func() bool
 	probeLLCHit bool
 
-	// progressFn, when non-nil, observes phase progress at cancellation-
-	// poll boundaries (RunConfig.OnProgress; observation-only).
-	progressFn func(Progress)
-
 	// val, when non-nil, is the differential validation harness attached
 	// by EnableValidation (RunConfig.Validate): timing oracles on every
 	// DRAM sub-channel plus the request-lifecycle checker hooked into
@@ -226,7 +222,7 @@ type System struct {
 	// par is the tick-phase worker count (<=1: sequential); pool holds the
 	// par-1 helper goroutines when parallel.
 	par  int
-	pool *workerPool
+	pool *WorkerPool
 	// dueCores/dueBackends are reused scratch lists of the components due
 	// at the cycle stepEvent selected.
 	dueCores    []int
@@ -262,9 +258,19 @@ func NewSystem(cfg Config, workloads []trace.Workload, seed uint64) (*System, er
 // hp places the host's address space, tags its requests, and (for pooled
 // topologies) injects its shared-device ports.
 func NewHostSystem(cfg Config, workloads []trace.Workload, seed uint64, hp HostParams) (*System, error) {
+	gens, hints, err := synthetic(cfg, workloads, seed, hp)
+	if err != nil {
+		return nil, err
+	}
+	return newSystemGens(cfg, gens, hints, hp)
+}
+
+// synthetic builds the per-core synthetic generators for workloads, with
+// their parameters as prefill hints.
+func synthetic(cfg Config, workloads []trace.Workload, seed uint64, hp HostParams) ([]trace.Generator, []trace.Params, error) {
 	active := cfg.active()
 	if len(workloads) != active {
-		return nil, fmt.Errorf("sim: %d workloads for %d active cores", len(workloads), active)
+		return nil, nil, fmt.Errorf("sim: %d workloads for %d active cores", len(workloads), active)
 	}
 	gens := make([]trace.Generator, active)
 	hints := make([]trace.Params, active)
@@ -273,18 +279,14 @@ func NewHostSystem(cfg Config, workloads []trace.Workload, seed uint64, hp HostP
 		gens[i] = trace.NewSynthetic(w.Params, base, seed*1_000_003+uint64(i)+1)
 		hints[i] = w.Params
 	}
-	return newSystemGens(cfg, gens, hints, hp)
+	return gens, hints, nil
 }
 
-// NewSystemGens assembles a system over caller-provided instruction
-// generators (e.g. recorded trace replays). hints, when non-nil, supplies
-// per-core workload parameters used for LLC pre-fill and the dispatch-rate
-// cap; pass nil to skip pre-fill (then provide enough warmup in the trace
-// itself).
-func NewSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params) (*System, error) {
-	return newSystemGens(cfg, gens, hints, HostParams{})
-}
-
+// newSystemGens assembles a system over per-core instruction generators
+// (synthetic, or e.g. recorded trace replays). hints, when non-nil,
+// supplies per-core workload parameters used for LLC pre-fill and the
+// dispatch-rate cap; nil skips pre-fill (then the trace itself must carry
+// enough warmup).
 func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp HostParams) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -427,14 +429,14 @@ func (s *System) SetParallelism(n int) {
 	}
 	s.par = n
 	if n > 1 && s.pool == nil {
-		s.pool = newWorkerPool(n - 1)
+		s.pool = NewWorkerPool(n - 1)
 	}
 }
 
 // Close releases the worker goroutines of a parallel system. Safe to call
 // on a sequential system and more than once.
 func (s *System) Close() {
-	s.pool.close()
+	s.pool.Close()
 	s.pool = nil
 	s.par = 1
 }
@@ -454,12 +456,6 @@ func (s *System) SetClocking(m Clocking) {
 	}
 }
 
-// SetProgress attaches a phase-progress observer (RunConfig.OnProgress):
-// runPhase invokes it at every cancellation-poll boundary and once at
-// phase end. Observation-only — a nil fn (the default) disables emission,
-// and measurements are bit-identical either way.
-func (s *System) SetProgress(fn func(Progress)) { s.progressFn = fn }
-
 // PhaseRetired returns the slowest core's retirement count toward target,
 // capped at target (cores that finish early keep executing to sustain
 // memory pressure, but no longer advance phase progress). Counted from the
@@ -473,16 +469,6 @@ func (s *System) PhaseRetired(target uint64) uint64 {
 		}
 	}
 	return min
-}
-
-// emitProgress delivers one observation to the attached observer; start is
-// the cycle the current phase began.
-func (s *System) emitProgress(target uint64, start int64) {
-	p := Progress{Phase: "warmup", Cycles: s.now - start, Retired: s.PhaseRetired(target), Target: target}
-	if s.measuring {
-		p.Phase = "measure"
-	}
-	s.progressFn(p)
 }
 
 // peakGBs sums backend peak bandwidths.
@@ -880,15 +866,15 @@ func (s *System) step() {
 // hold the parallel tick phases in their own frames so the sequential
 // paths pay no closure-capture allocations.
 func (s *System) tickCoresPar(now int64) {
-	s.pool.run(len(s.cores), func(i int) { s.cores[i].Tick(now) })
+	s.pool.Run(len(s.cores), func(i int) { s.cores[i].Tick(now) })
 }
 
 func (s *System) tickBackendsPar(now int64) {
-	s.pool.run(len(s.backends), func(ch int) { s.backends[ch].Tick(now) })
+	s.pool.Run(len(s.backends), func(ch int) { s.backends[ch].Tick(now) })
 }
 
 func (s *System) tickDueCoresPar(due []int, next int64) {
-	s.pool.run(len(due), func(k int) {
+	s.pool.Run(len(due), func(k int) {
 		i := due[k]
 		s.cores[i].Tick(next)
 		if len(s.coreEvents[i]) == 0 {
@@ -898,7 +884,7 @@ func (s *System) tickDueCoresPar(due []int, next int64) {
 }
 
 func (s *System) tickDueBackendsPar(due []int, next int64) {
-	s.pool.run(len(due), func(k int) {
+	s.pool.Run(len(due), func(k int) {
 		ch := due[k]
 		s.backends[ch].Tick(next)
 		s.backendNext[ch] = s.backends[ch].NextEvent(next)
@@ -1000,19 +986,19 @@ func (s *System) tickEventCycle(next int64) {
 // syncClock realizes every component's lagging bulk accounting at the
 // current cycle before counters are read or reset. Under event-driven
 // clocking a component's local clock may lag the system clock (it was
-// provably inert in between). Cores are re-Ticked: their Tick is idempotent
-// at an already-simulated cycle, a lagging core has no due work at s.now
-// (wakes always target s.now+1), and the tick runs the stall/token
-// catch-up the cycle-by-cycle loop would have accrued. Backends use Sync
-// rather than Tick: a lagging backend can hold work enqueued at s.now
-// *after* its tick-order slot this cycle (a write-back from a
-// later-ordered backend's completion), which the cycle-by-cycle loop only
-// processes at s.now+1 — re-Ticking would process it a cycle early. Sync
-// realizes the background integration (sub-channel ActiveBankCycles)
-// without simulating any events.
+// provably inert in between). Every component uses Sync rather than Tick,
+// because a lagging component can hold work that arrived at s.now *after*
+// its tick-order slot this cycle, which the cycle-by-cycle loop only
+// processes at s.now+1 — re-Ticking would process it a cycle early. For a
+// core that is a completion waking it for s.now+1 (a re-Tick would
+// dispatch into the MSHR it freed at s.now, buffering an L2 miss no drain
+// ever sends); for a backend, a write-back enqueued by a later-ordered
+// backend's completion. Sync realizes the background accounting (MSHR
+// stall counts, sub-channel ActiveBankCycles) without simulating any
+// events.
 func (s *System) syncClock() {
 	for _, c := range s.cores {
-		c.Tick(s.now)
+		c.Sync(s.now)
 	}
 	for _, b := range s.backends {
 		b.Sync(s.now)
@@ -1173,11 +1159,7 @@ func (s *System) fastForward(perCore uint64, ipc []float64) {
 	}
 	target := s.now + jump
 	for s.now < target {
-		if s.clocking == CycleByCycle {
-			s.step()
-		} else {
-			s.stepEvent(target)
-		}
+		s.Step(target)
 	}
 	for i, c := range s.cores {
 		c.SetFrozen(false)
@@ -1196,7 +1178,7 @@ const width = 4
 // cumulative — cores only retire during detailed windows, and stats
 // accumulate across them — so headline rates are computed over the union
 // of the detailed windows (detailCycles) at collection.
-func (s *System) runMeasureSampled(ctx context.Context, rc RunConfig) error {
+func (s *System) runMeasureSampled(ctx context.Context, who string, rc RunConfig) error {
 	detail, ff, total := rc.SampleDetailInstr, rc.SampleFastFwdInstr, rc.MeasureInstr
 	s.sampled = true
 	ipc := make([]float64, len(s.cores))
@@ -1208,9 +1190,8 @@ func (s *System) runMeasureSampled(ctx context.Context, rc RunConfig) error {
 			d = rem
 		}
 		cum += d
-		budget := int64(d)*rc.MaxCyclesPerInstr + 1_000_000
 		windowStart := s.now
-		if err := s.runPhase(ctx, cum, budget); err != nil {
+		if err := RunPhase(ctx, s, who, "measure", cum, MaxCycles(d, rc), rc.OnProgress); err != nil {
 			return err
 		}
 		window := s.now - windowStart
@@ -1268,16 +1249,22 @@ func (s *System) sampledIPC(c *cpu.Core) float64 {
 // BenchSteps advances the system n cycles (benchmark support), honoring
 // the configured clocking mode.
 func (s *System) BenchSteps(n int) {
-	if s.clocking == CycleByCycle {
-		for i := 0; i < n; i++ {
-			s.step()
-		}
-		return
-	}
 	target := s.now + int64(n)
 	for s.now < target {
-		s.stepEvent(target)
+		s.Step(target)
 	}
+}
+
+// Step implements Stepper: one cycle of the reference loop under
+// CycleByCycle, or the event-driven jump to the next cycle any component
+// is due (at most limit).
+func (s *System) Step(limit int64) (int64, bool) {
+	if s.clocking == CycleByCycle {
+		s.step()
+	} else {
+		s.stepEvent(limit)
+	}
+	return s.now, s.Done()
 }
 
 // resetStats zeroes all measurement state at the warmup boundary.
@@ -1301,55 +1288,4 @@ func (s *System) resetStats() {
 	s.hist.Reset()
 	s.fpDiscarded = 0
 	s.measuring = true
-}
-
-// ctxCheckCycles is the cancellation-poll granularity of runPhase: the
-// context is consulted once per this many simulated cycles, so a canceled
-// run stops at the next such window boundary with consistent state (every
-// in-flight cycle fully drained) rather than mid-cycle.
-const ctxCheckCycles = 4096
-
-// runPhase executes until every core retires `target` instructions
-// (counted from the last stats reset), bounded by maxCycles and by ctx
-// cancellation (checked at ctxCheckCycles boundaries).
-func (s *System) runPhase(ctx context.Context, target uint64, maxCycles int64) error {
-	for _, c := range s.cores {
-		c.SetTarget(target)
-	}
-	start := s.now
-	limit := s.now + maxCycles
-	nextCheck := s.now + ctxCheckCycles
-	for {
-		done := true
-		for _, c := range s.cores {
-			if !c.Done() {
-				done = false
-				break
-			}
-		}
-		if done {
-			if s.progressFn != nil {
-				s.emitProgress(target, start)
-			}
-			return nil
-		}
-		if s.now >= limit {
-			return fmt.Errorf("sim: %s: exceeded cycle budget (%d cycles for %d instructions)",
-				s.cfg.Name, maxCycles, target)
-		}
-		if s.now >= nextCheck {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("sim: %s: stopped at cycle %d: %w", s.cfg.Name, s.now, err)
-			}
-			if s.progressFn != nil {
-				s.emitProgress(target, start)
-			}
-			nextCheck = s.now + ctxCheckCycles
-		}
-		if s.clocking == CycleByCycle {
-			s.step()
-		} else {
-			s.stepEvent(limit)
-		}
-	}
 }

@@ -43,7 +43,7 @@ func (s *System) EnableValidation() {
 		case *dram.Channel:
 			attach(fmt.Sprintf("ddr%d", ch), t)
 		case *cxl.Channel:
-			for di, d := range t.DDR() {
+			for di, d := range t.Device().DDR() {
 				attach(fmt.Sprintf("cxl%d/ddr%d", ch, di), d)
 			}
 		}
@@ -72,13 +72,8 @@ func (s *System) forEachPending(fn func(*memreq.Request)) {
 		}
 	}
 	for _, b := range s.backends {
-		switch t := b.(type) {
-		case *dram.Channel:
-			t.ForEachPending(fn)
-		case *cxl.Channel:
-			t.ForEachPending(fn)
-		case *cxl.Port:
-			t.ForEachPending(fn)
+		if w, ok := b.(interface{ ForEachPending(func(*memreq.Request)) }); ok {
+			w.ForEachPending(fn)
 		}
 	}
 	for _, w := range s.extraPending {
@@ -157,7 +152,7 @@ func (s *System) validationError() error {
 				extra = append(extra, fmt.Sprintf(
 					"cxl%d outstanding count %d outside [0, %d]", ch, out, t.IngressDepth()))
 			}
-			for di, d := range t.DDR() {
+			for di, d := range t.Device().DDR() {
 				for si, sub := range d.SubChannels() {
 					checkSub(fmt.Sprintf("cxl%d/ddr%d", ch, di), si, sub)
 				}

@@ -35,16 +35,23 @@ func saveOracleReport(t *testing.T, err error) {
 // TestValidationSuite is the harness's acceptance matrix: the DDR timing
 // oracle and the lifecycle checker must report zero violations across the
 // default configuration suite (direct DDR, COAXIAL-4x, CXL-pooled) under
-// both clocking modes, sequential and parallel ticking, on both a paper
-// workload mix and the mixed-MPKI rack workload.
+// both clocking modes, sequential and parallel ticking, on a paper
+// workload mix and the mixed-MPKI rack workload, plus very short windows
+// over another mix, whose ends land mid-burst: a core a completion wakes
+// at the final cycle must not dispatch there (Core.Sync), or its L2 miss
+// holds an MSHR no in-flight read matches.
 func TestValidationSuite(t *testing.T) {
 	configs := []Config{Baseline(), Coaxial4x(), CoaxialPooled()}
 	loads := []struct {
-		name string
-		wl   func(cores int) []trace.Workload
+		name                   string
+		wl                     func(cores int) []trace.Workload
+		functional, warm, meas uint64
+		seed                   uint64
 	}{
-		{"mix1", func(c int) []trace.Workload { return trace.Mix(1, c) }},
-		{"rack0", func(c int) []trace.Workload { return trace.RackMix(0, c) }},
+		{"mix1", func(c int) []trace.Workload { return trace.Mix(1, c) }, 40_000, 1_000, 6_000, 1},
+		{"rack0", func(c int) []trace.Workload { return trace.RackMix(0, c) }, 40_000, 1_000, 6_000, 1},
+		{"mix3-short-seed1", func(c int) []trace.Workload { return trace.Mix(3, c) }, 2_000, 200, 1_000, 1},
+		{"mix3-short-seed7", func(c int) []trace.Workload { return trace.Mix(3, c) }, 2_000, 200, 1_000, 7},
 	}
 	modes := []struct {
 		name string
@@ -58,10 +65,10 @@ func TestValidationSuite(t *testing.T) {
 				for _, par := range []int{1, 3} {
 					t.Run(fmt.Sprintf("%s/%s/%s/par%d", cfg.Name, ld.name, mode.name, par), func(t *testing.T) {
 						rc := RunConfig{
-							FunctionalWarmupInstr: 40_000,
-							WarmupInstr:           1_000,
-							MeasureInstr:          6_000,
-							Seed:                  1,
+							FunctionalWarmupInstr: ld.functional,
+							WarmupInstr:           ld.warm,
+							MeasureInstr:          ld.meas,
+							Seed:                  ld.seed,
 							Clocking:              mode.m,
 							Parallelism:           par,
 							Validate:              true,

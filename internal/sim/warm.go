@@ -88,6 +88,9 @@ func CaptureWarm(cfg Config, workloads []trace.Workload, rc RunConfig) (ws *Warm
 // warmup never touches a backend, and building throwaway ports would
 // corrupt shared-device attach order.
 func CaptureWarmHost(cfg Config, workloads []trace.Workload, rc RunConfig, hp HostParams) (ws *WarmState, ok bool, err error) {
+	if rc.SkipFunctional {
+		return nil, false, fmt.Errorf("sim: warm capture with SkipFunctional set")
+	}
 	hp.Backends = nil
 	sys, err := NewHostSystem(cfg, workloads, rc.Seed, hp)
 	if err != nil {
@@ -98,16 +101,11 @@ func CaptureWarmHost(cfg Config, workloads []trace.Workload, rc RunConfig, hp Ho
 			return nil, false, nil
 		}
 	}
-	hints := make([]trace.Params, len(workloads))
-	for i, w := range workloads {
-		hints[i] = w.Params
-	}
-	sys.prefillLLC(hints, rc.Seed)
-	sys.functionalWarmup(rc.functionalInstr())
+	sys.Prewarm(rc)
 
 	ws = &WarmState{
 		workloads: append([]trace.Workload(nil), workloads...),
-		hints:     hints,
+		hints:     sys.prefillHints,
 		gens:      make([]trace.Generator, len(sys.cores)),
 		l1:        sys.l1,
 		l2:        sys.l2,
@@ -131,18 +129,15 @@ func CaptureWarmHost(cfg Config, workloads []trace.Workload, rc RunConfig, hp Ho
 // seed and functional-warmup budget must match the capture, and cfg's
 // core/cache geometry must match the capture configuration.
 func RunMixWarm(ctx context.Context, cfg Config, ws *WarmState, rc RunConfig) (Result, error) {
-	if rc.MeasureInstr == 0 {
-		return Result{}, fmt.Errorf("sim: zero measure window")
-	}
-	if rc.MaxCyclesPerInstr <= 0 {
-		rc.MaxCyclesPerInstr = 400
+	if err := rc.CheckWindows(); err != nil {
+		return Result{}, err
 	}
 	sys, err := NewWarmSystem(cfg, ws, rc, HostParams{})
 	if err != nil {
 		return Result{}, err
 	}
 	defer sys.Close()
-	return sys.timedPhases(ctx, ws.workloads, rc)
+	return sys.timedPhases(ctx, mixLabel(ws.workloads), rc)
 }
 
 // NewWarmSystem rebuilds a ready-to-measure System from a warm snapshot:
@@ -173,12 +168,7 @@ func NewWarmSystem(cfg Config, ws *WarmState, rc RunConfig, hp HostParams) (*Sys
 	if err != nil {
 		return nil, err
 	}
-	sys.SetParallelism(rc.Parallelism)
-	sys.SetClocking(rc.Clocking)
-	sys.SetProgress(rc.OnProgress)
-	if rc.Validate {
-		sys.EnableValidation()
-	}
+	sys.Configure(rc)
 	for i := range sys.l1 {
 		sys.l1[i] = ws.l1[i].Clone()
 		sys.l2[i] = ws.l2[i].Clone()

@@ -207,6 +207,12 @@ func (r *Runner) Run(ctx context.Context, cfg Config, w Workload) (Result, error
 
 // RunMix executes one experiment with per-core workloads (Fig. 6 mixes).
 func (r *Runner) RunMix(ctx context.Context, cfg Config, workloads []Workload) (Result, error) {
+	// Validate before the warm-cache lookup: the warm key covers only what
+	// the warmup depends on, so an invalid config can share a valid one's
+	// key, and its capture error would be cached under it.
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	if !r.rc.SkipFunctional {
 		ws, ok, err := r.warmFor(cfg, workloads)
 		if err != nil {
@@ -228,6 +234,8 @@ func (r *Runner) RunMix(ctx context.Context, cfg Config, workloads []Workload) (
 // Sampled simulation is incompatible with the lockstep rack and returns
 // an error.
 func (r *Runner) RunRack(ctx context.Context, cfg RackConfig, workloads [][]Workload) (RackResult, error) {
+	// Validates every host config too, before any warm-cache lookup (see
+	// RunMix).
 	if err := cfg.Validate(); err != nil {
 		return RackResult{}, err
 	}

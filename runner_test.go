@@ -93,6 +93,21 @@ func TestRunnerSuiteJoinsErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "job 1") {
 		t.Errorf("error %q does not identify the failing job", err)
 	}
+
+	// The same pair in sequence, broken job first, on one Runner: the two
+	// configs share a warm key, and the broken one's failure must not
+	// reach the valid one through the warm cache.
+	seq := coaxial.NewRunner(coaxial.WithWindows(10_000, 1_000, 4_000))
+	if _, err := seq.Run(context.Background(), bad, w); err == nil {
+		t.Fatal("expected an error for the broken config")
+	}
+	res, err := seq.Run(context.Background(), coaxial.Coaxial4x(), w)
+	if err != nil {
+		t.Fatalf("valid config after a broken one on the same Runner: %v", err)
+	}
+	if res.IPC <= 0 {
+		t.Errorf("valid config after a broken one produced no result: %+v", res)
+	}
 }
 
 // TestRunnerSuiteCancellation checks that a canceled context stops the
