@@ -36,8 +36,8 @@ serve-test:
 # lint runs coaxlint (internal/lint): determinism, phase-isolation,
 # counter-hygiene, and observer-purity invariants, plus unitcheck's
 # flow-sensitive clock-domain/dimension analysis, lockcheck's lock-set
-# analysis, and handlecheck's arena-handle lifetime analysis
-# (DESIGN.md §6). Findings
+# analysis, handlecheck's arena-handle lifetime analysis, and alloccheck's
+# hot-path allocation analysis (DESIGN.md §6). Findings
 # listed in .coaxlint.baseline (if present) are pre-existing and accepted;
 # only new violations fail. Add -json for machine-readable output.
 lint:
@@ -50,10 +50,12 @@ lint-baseline:
 
 # lint-mutations proves the analyzers still catch what they exist to
 # catch: each suite plants real bugs (dimension slips, dropped unlocks,
-# reordered arena releases, deleted ownership annotations) into the
-# shipping sources via a load-time overlay and fails if any survive.
+# reordered arena releases, deleted ownership annotations, hot-path
+# allocations) into the shipping sources via a load-time overlay and fails
+# if any survive. The two -fix tests apply alloccheck's suggested fixes to
+# planted bugs and check the rewritten source.
 lint-mutations:
-	$(GO) test -count=1 -run 'TestUnitCheckMutations|TestLockCheckMutations|TestHandleCheckMutations|TestAllocCheckMutations' ./internal/lint/
+	$(GO) test -count=1 -run 'TestUnitCheckMutations|TestLockCheckMutations|TestHandleCheckMutations|TestAllocCheckMutations|TestAllocCheckCapacityHintFix|TestAllocCheckHoistFix' ./internal/lint/
 
 # golden regenerates the golden result corpus after an intentional change
 # to simulated numbers. Review the testdata/golden diff like code.

@@ -105,23 +105,13 @@ func vettoolMode(cfgPath string) int {
 		return 0 // unrecoverable type errors: leave reporting to the build
 	}
 
-	facts := analysis.NewFactStore()
-	suite := lint.Suite()
-	known, names := lint.DirectiveNames(suite)
-	diags := analysis.CheckDirectives(fset, files, known, names)
-	for _, a := range suite {
-		run := a // bind for the closure below
-		report := func(d analysis.Diagnostic) {
-			if !run.FactsOnly {
-				diags = append(diags, d)
-			}
-		}
-		pass := analysis.NewPass(a, fset, files, pkg, info, cfg.ModulePath, facts, report)
-		pass.FactsPartial = true // imports are export data: no bodies, no facts
-		if err := a.Run(pass); err != nil {
-			fmt.Fprintln(os.Stderr, "coaxial-lint:", err)
-			return 1
-		}
+	// Imports are export data: no bodies, so facts exist for this package
+	// alone.
+	drv := analysis.NewDriver(lint.Suite(), fset, cfg.ModulePath, true)
+	diags, err := drv.Package(files, pkg, info, true)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "coaxial-lint:", err)
+		return 1
 	}
 	if len(diags) == 0 {
 		return 0

@@ -45,8 +45,8 @@ import (
 //     allocates, with the original site threaded into the message.
 //
 // Summaries are computed for every function of every loaded package —
-// within a package by fixpoint iteration, across packages through the
-// fact store in dependency order — so SubChannel.tryIssue calling a
+// within a package by rounds run to convergence, across packages through
+// the fact store in dependency order — so SubChannel.tryIssue calling a
 // helper checks at the call site, exactly like lockcheck's
 // requires/acquires summaries. An allocation justified in place with
 // //lint:alloc <why> is excluded from its function's summary: the
@@ -69,7 +69,6 @@ type alloccheckState struct {
 	cfg      AllocConfig
 	hot      map[string]bool
 	allocFns map[string]bool
-	cfgCache map[*ast.FuncDecl]*analysis.CFG
 }
 
 // AllocConfig configures the alloccheck analyzer for a repository.
@@ -158,7 +157,6 @@ func NewAllocCheck(cfg AllocConfig) *analysis.Analyzer {
 		cfg:      cfg,
 		hot:      map[string]bool{},
 		allocFns: map[string]bool{},
-		cfgCache: map[*ast.FuncDecl]*analysis.CFG{},
 	}
 	for _, f := range cfg.HotFuncs {
 		a.hot[f] = true
@@ -177,7 +175,14 @@ func NewAllocCheck(cfg AllocConfig) *analysis.Analyzer {
 
 func (a *alloccheckState) run(pass *analysis.Pass) error {
 	reportUnresolved(pass, "hot root", a.cfg.HotFuncs)
-	a.inferSummaries(pass)
+	// Convergence is decided on allocates alone: the reason nests the
+	// callee's reason, so around a recursive cycle it would grow every
+	// round. A summary keeps the chain that first proved it allocates.
+	err := analysis.Summarize(pass, allocSumFact, pass.Funcs(), a.summarize,
+		func(x, y allocSummary) bool { return x.allocates == y.allocates })
+	if err != nil {
+		return err
+	}
 	a.reportPackage(pass)
 	return nil
 }
@@ -1148,61 +1153,18 @@ func lhsKind(pass *analysis.Pass, lhs ast.Expr) string {
 
 // hotDecl reports whether fd is a hot root: named in the declaration
 // table, or carrying a //lint:allocfree annotation.
-func (a *alloccheckState) hotDecl(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if _, ok := pass.DirectiveOn(fd.Pos(), "allocfree"); ok {
+func (a *alloccheckState) hotDecl(pass *analysis.Pass, fn analysis.Func) bool {
+	if _, ok := pass.DirectiveOn(fn.Decl.Pos(), "allocfree"); ok {
 		return true
 	}
-	obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	return obj != nil && a.hot[funcQName(obj)]
-}
-
-// inferSummaries computes allocation summaries for the package's
-// functions to a fixpoint, so helper chains resolve before callers are
-// checked — within the package by iteration, across packages by the
-// driver's dependency order.
-func (a *alloccheckState) inferSummaries(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			sum := a.summarize(pass, cd.decl)
-			cur := allocSummary{}
-			if v, ok := pass.Facts.Get(cd.obj, allocSumFact); ok {
-				cur, _ = v.(allocSummary)
-			}
-			if sum != cur {
-				pass.Facts.Set(cd.obj, allocSumFact, sum)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	return a.hot[funcQName(fn.Obj)]
 }
 
 // summarize computes one function's allocation summary.
-func (a *alloccheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) allocSummary {
-	cfg := a.cfgFor(fd)
-	c := &allocChecker{a: a, pass: pass, body: fd.Body, reported: map[token.Pos]bool{}}
-	c.prescan(fd.Body)
+func (a *alloccheckState) summarize(pass *analysis.Pass, fn analysis.Func) allocSummary {
+	cfg := pass.CFG(fn.Decl.Body)
+	c := &allocChecker{a: a, pass: pass, body: fn.Decl.Body, reported: map[token.Pos]bool{}}
+	c.prescan(fn.Decl.Body)
 	c.collect = &allocSummary{}
 	in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
 	analysis.ReplayBlocks(cfg, in, c.transfer)
@@ -1211,28 +1173,17 @@ func (a *alloccheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) alloc
 
 // reportPackage replays every hot function with diagnostics enabled.
 func (a *alloccheckState) reportPackage(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !a.hotDecl(pass, fd) {
-				continue
-			}
-			cfg := a.cfgFor(fd)
-			c := &allocChecker{a: a, pass: pass, body: fd.Body, reported: map[token.Pos]bool{}}
-			c.prescan(fd.Body)
-			in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
-			c.reporting = true
-			c.reported = map[token.Pos]bool{}
-			analysis.ReplayBlocks(cfg, in, c.transfer)
+	for _, fn := range pass.Funcs() {
+		if !a.hotDecl(pass, fn) {
+			continue
 		}
+		body := fn.Decl.Body
+		cfg := pass.CFG(body)
+		c := &allocChecker{a: a, pass: pass, body: body, reported: map[token.Pos]bool{}}
+		c.prescan(body)
+		in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
+		c.reporting = true
+		c.reported = map[token.Pos]bool{}
+		analysis.ReplayBlocks(cfg, in, c.transfer)
 	}
-}
-
-func (a *alloccheckState) cfgFor(fd *ast.FuncDecl) *analysis.CFG {
-	cfg := a.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		a.cfgCache[fd] = cfg
-	}
-	return cfg
 }

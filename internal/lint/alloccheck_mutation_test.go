@@ -2,14 +2,11 @@ package lint_test
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"coaxial/internal/lint"
 	"coaxial/internal/lint/analysis"
-	"coaxial/internal/lint/loader"
 )
 
 // allocMutations plants allocation bugs into real hot-path sources — the
@@ -27,7 +24,7 @@ func allocMutations() []concMutation {
 			old:      `		s.coreEvents[i] = evs[:0]`,
 			new:      `		s.coreEvents[i] = make([]memEvent, 0)`,
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "escapes (stored into an element)",
+			want:     []string{"escapes (stored into an element)"},
 		},
 		{
 			name: "sim-duecores-append-without-hint",
@@ -41,7 +38,7 @@ func allocMutations() []concMutation {
 				"	_ = due\n",
 			},
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "append in a loop grows due, which was created without a capacity hint",
+			want:     []string{"append in a loop grows due, which was created without a capacity hint"},
 		},
 		{
 			name: "sim-complete-sprintf-trace",
@@ -54,7 +51,7 @@ func allocMutations() []concMutation {
 	_ = fmt.Sprintf("complete %x at %d", r.Addr, now)
 	if r.Kind == memreq.Write {`,
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "call to fmt.Sprintf allocates in hot path",
+			want:     []string{"call to fmt.Sprintf allocates in hot path"},
 		},
 		{
 			name:     "sim-onissue-justification-deleted",
@@ -62,7 +59,12 @@ func allocMutations() []concMutation {
 			old:      `		s.val.lc.OnIssue(r, at) //lint:alloc validation hook; allocates only when recording an invariant failure`,
 			new:      `		s.val.lc.OnIssue(r, at)`,
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "call to OnIssue allocates in hot path",
+			// OnIssue is reached only five helpers below drainCompletions,
+			// which its hot callers reach only once summaries converge.
+			want: []string{
+				"call to OnIssue allocates in hot path",
+				"call to drainCompletions allocates in hot path",
+			},
 		},
 		{
 			name: "cpu-tick-boxes-scalar",
@@ -74,7 +76,7 @@ func allocMutations() []concMutation {
 	_ = trace
 	c.issueDeferred(now)`,
 			patterns: []string{"coaxial/internal/cpu"},
-			wantSub:  "interface boxing in hot path",
+			want:     []string{"interface boxing in hot path"},
 		},
 		{
 			name: "cpu-resolvemiss-map-literal",
@@ -86,7 +88,7 @@ func allocMutations() []concMutation {
 	_ = trace
 	last := len(c.pending) - 1`,
 			patterns: []string{"coaxial/internal/cpu"},
-			wantSub:  "map literal always allocates",
+			want:     []string{"map literal always allocates"},
 		},
 		{
 			name: "cpu-rob-alloc-boxes-interprocedurally",
@@ -98,7 +100,7 @@ func allocMutations() []concMutation {
 	_ = dbg
 	c.tailSeq++`,
 			patterns: []string{"coaxial/internal/cpu"},
-			wantSub:  "call to alloc allocates in hot path",
+			want:     []string{"call to alloc allocates in hot path"},
 		},
 		{
 			name: "dram-tick-make-map",
@@ -110,7 +112,7 @@ func allocMutations() []concMutation {
 	_ = seen
 	arrived := false`,
 			patterns: []string{"coaxial/internal/dram"},
-			wantSub:  "make of a map always allocates",
+			want:     []string{"make of a map always allocates"},
 		},
 		{
 			name: "dram-arrival-loop-invariant-map",
@@ -122,7 +124,7 @@ func allocMutations() []concMutation {
 		_ = prio[0]
 		row, bnk, grp := s.decode(r.Addr)`,
 			patterns: []string{"coaxial/internal/dram"},
-			wantSub:  "map literal always allocates",
+			want:     []string{"map literal always allocates"},
 		},
 		{
 			name: "cxl-tick-retains-fresh-slice",
@@ -139,59 +141,16 @@ func allocMutations() []concMutation {
 				"	dev          *PooledDevice\n\ttraceBuf []int64\n",
 			},
 			patterns: []string{"coaxial/internal/cxl"},
-			wantSub:  "escapes (stored into field traceBuf)",
+			want:     []string{"escapes (stored into field traceBuf)"},
 		},
 	}
 }
 
 func TestAllocCheckMutations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mutation suite shells out to go list per case")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range allocMutations() {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			runConcMutation(t, root, "alloccheck", func() *analysis.Analyzer {
-				return lint.NewAllocCheck(lint.DefaultAllocConfig())
-			}, m)
-		})
-	}
+	runMutations(t, newAllocCheck, allocMutations())
 }
 
-// mutateAndLint applies one mutation, runs alloccheck alone, and returns
-// the diagnostics plus the mutated file contents (for applying fixes).
-func mutateAndLint(t *testing.T, root string, m concMutation) ([]analysis.Diagnostic, string, []byte) {
-	t.Helper()
-	path := filepath.Join(root, m.file)
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(string(orig), m.old) != 1 {
-		t.Fatalf("mutation anchor occurs %d times, want 1", strings.Count(string(orig), m.old))
-	}
-	text := strings.Replace(string(orig), m.old, m.new, 1)
-	if m.second[0] != "" {
-		if strings.Count(text, m.second[0]) != 1 {
-			t.Fatalf("second anchor occurs %d times, want 1", strings.Count(text, m.second[0]))
-		}
-		text = strings.Replace(text, m.second[0], m.second[1], 1)
-	}
-	mutated := []byte(text)
-	prog, err := loader.LoadOverlay(root, map[string][]byte{path: mutated}, m.patterns...)
-	if err != nil {
-		t.Fatalf("load with mutation: %v", err)
-	}
-	diags, err := lint.Run(prog, []*analysis.Analyzer{lint.NewAllocCheck(lint.DefaultAllocConfig())})
-	if err != nil {
-		t.Fatalf("lint run: %v", err)
-	}
-	return diags, path, mutated
-}
+func newAllocCheck() *analysis.Analyzer { return lint.NewAllocCheck(lint.DefaultAllocConfig()) }
 
 // applyFixFor finds the diagnostic matching wantSub, requires it to carry
 // a suggested fix, applies the fix against the in-memory mutated file, and
@@ -228,13 +187,7 @@ func applyFixFor(t *testing.T, diags []analysis.Diagnostic, wantSub, path string
 // TestAllocCheckCapacityHintFix: the un-hinted append finding carries an
 // edit that sizes the slice to the ranged collection.
 func TestAllocCheckCapacityHintFix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := mutationRoot(t)
 	m := concMutation{
 		file: "internal/sim/system.go",
 		old:  `	due := s.dueCores[:0]`,
@@ -245,7 +198,7 @@ func TestAllocCheckCapacityHintFix(t *testing.T) {
 		},
 		patterns: []string{"coaxial/internal/sim"},
 	}
-	diags, path, mutated := mutateAndLint(t, root, m)
+	diags, path, mutated := mutateAndLint(t, root, newAllocCheck(), m)
 	fixed := applyFixFor(t, diags, "append in a loop grows due", path, mutated)
 	want := "due := make([]int, 0, len(s.cores))"
 	if !strings.Contains(fixed, want) {
@@ -256,13 +209,7 @@ func TestAllocCheckCapacityHintFix(t *testing.T) {
 // TestAllocCheckHoistFix: a loop-invariant read-only map literal inside a
 // hot loop gets hoisted above the loop.
 func TestAllocCheckHoistFix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := mutationRoot(t)
 	m := concMutation{
 		file: "internal/dram/subchannel.go",
 		old: `		arrived = true
@@ -273,7 +220,7 @@ func TestAllocCheckHoistFix(t *testing.T) {
 		row, bnk, grp := s.decode(r.Addr)`,
 		patterns: []string{"coaxial/internal/dram"},
 	}
-	diags, path, mutated := mutateAndLint(t, root, m)
+	diags, path, mutated := mutateAndLint(t, root, newAllocCheck(), m)
 	fixed := applyFixFor(t, diags, "map literal always allocates", path, mutated)
 	// The defining statement moves above the loop; its old line empties.
 	hoisted := "prio := map[int]int{0: 1}\n\tfor {"

@@ -23,3 +23,12 @@ func TestAllocCheck(t *testing.T) {
 		lint.NewAllocCheck(fixtureAllocConfig()),
 	}, "allocfix")
 }
+
+// TestAllocCheckConverges: a hot root five helpers above its allocation,
+// declared callers-first, and a recursive pair whose summary reasons nest
+// each other. Both need summaries run to convergence.
+func TestAllocCheckConverges(t *testing.T) {
+	analysistest.Run(t, "testdata", []*analysis.Analyzer{
+		lint.NewAllocCheck(lint.DefaultAllocConfig()),
+	}, "allocdeep")
+}

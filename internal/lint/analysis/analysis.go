@@ -5,7 +5,10 @@
 // a dependency). It adds the two pieces coaxlint needs that the stdlib does
 // not provide: line-anchored //lint: suppression directives with mandatory
 // justifications, and a cross-package object fact store filled in
-// dependency order by the driver.
+// dependency order by the Driver. The flow-sensitive analyzers share the
+// rest of their machinery here too: the function walk (Pass.Funcs), the
+// CFG cache (Pass.CFG), the dataflow engine (Forward), and the
+// interprocedural summary fixpoint (Summarize).
 package analysis
 
 import (
@@ -77,7 +80,8 @@ type Pass struct {
 	FactsPartial bool
 
 	report     func(Diagnostic)
-	directives map[string][]directive // filename -> directives, line-keyed
+	directives map[string][]directive  // filename -> directives, line-keyed
+	cfgs       map[*ast.BlockStmt]*CFG // see CFG; a Driver shares one across its run
 }
 
 // NewPass assembles a pass; report receives every non-suppressed
@@ -87,7 +91,7 @@ func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Pac
 	p := &Pass{
 		Analyzer: a, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info,
 		ModulePath: modulePath, Facts: facts, report: report,
-		directives: map[string][]directive{},
+		directives: map[string][]directive{}, cfgs: map[*ast.BlockStmt]*CFG{},
 	}
 	for _, f := range files {
 		fname := fset.Position(f.Pos()).Filename

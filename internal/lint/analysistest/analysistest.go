@@ -99,33 +99,14 @@ func analyze(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgPath s
 	if _, err := l.load(pkgPath); err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
-	facts := analysis.NewFactStore()
-	known := map[string]bool{"ignore": true}
-	names := map[string]bool{}
-	for _, a := range analyzers {
-		names[a.Name] = true
-		for _, d := range a.Directives {
-			known[d] = true
-		}
-		for _, d := range a.Annotations {
-			known[d] = true
-		}
-	}
+	drv := analysis.NewDriver(analyzers, l.fset, "", false)
 	var diags []analysis.Diagnostic
 	for _, pkg := range l.order {
-		diags = append(diags, analysis.CheckDirectives(l.fset, pkg.files, known, names)...)
-		for _, a := range analyzers {
-			capture := a // diagnostics of facts-only passes are not expected
-			report := func(d analysis.Diagnostic) {
-				if !capture.FactsOnly {
-					diags = append(diags, d)
-				}
-			}
-			pass := analysis.NewPass(a, l.fset, pkg.files, pkg.types, pkg.info, "", facts, report)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("analyzer %s on %s: %v", a.Name, pkg.path, err)
-			}
+		found, err := drv.Package(pkg.files, pkg.types, pkg.info, true)
+		if err != nil {
+			t.Fatalf("analyzing %s: %v", pkg.path, err)
 		}
+		diags = append(diags, found...)
 	}
 	return l, diags
 }

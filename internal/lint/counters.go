@@ -64,50 +64,37 @@ func typeQName(t types.Type) string {
 // runCounterMutations flags non-accumulating writes to counter types.
 func runCounterMutations(pass *analysis.Pass, counterSet map[string]bool, exempt []string) {
 	info := pass.TypesInfo
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if funcExemptFromCounterRules(info, fd, counterSet, exempt) {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.AssignStmt:
-					checkCounterAssign(pass, fd, x, counterSet)
-				case *ast.IncDecStmt:
-					if x.Tok == token.DEC && counterTarget(info, x.X, counterSet) != "" {
-						pass.Reportf(x.Pos(),
-							"counter %s decremented: stat counters only accumulate", counterTarget(info, x.X, counterSet))
-					}
-				}
-				return true
-			})
+	for _, fn := range pass.Funcs() {
+		fd := fn.Decl
+		if funcExemptFromCounterRules(fn.Obj, counterSet, exempt) {
+			continue
 		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				checkCounterAssign(pass, fd, x, counterSet)
+			case *ast.IncDecStmt:
+				if x.Tok == token.DEC && counterTarget(info, x.X, counterSet) != "" {
+					pass.Reportf(x.Pos(),
+						"counter %s decremented: stat counters only accumulate", counterTarget(info, x.X, counterSet))
+				}
+			}
+			return true
+		})
 	}
 }
 
 // funcExemptFromCounterRules: methods of a counter type implement it, and
 // constructors/resets legitimately zero state.
-func funcExemptFromCounterRules(info *types.Info, fd *ast.FuncDecl, counterSet map[string]bool, exempt []string) bool {
-	name := strings.ToLower(fd.Name.Name)
+func funcExemptFromCounterRules(fn *types.Func, counterSet map[string]bool, exempt []string) bool {
+	name := strings.ToLower(fn.Name())
 	for _, p := range exempt {
 		if strings.HasPrefix(name, p) {
 			return true
 		}
 	}
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		if obj, ok := info.Defs[fd.Name].(*types.Func); ok {
-			if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
-				if counterSet[typeQName(recv.Type())] {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && counterSet[typeQName(recv.Type())]
 }
 
 // counterTarget returns the counter type a write expression touches

@@ -44,7 +44,6 @@ type handlecheckState struct {
 	releases   map[string]bool
 	inspectors map[string]bool
 	handleType map[string]bool
-	cfgCache   map[*ast.FuncDecl]*analysis.CFG
 }
 
 // HandleConfig configures the handlecheck analyzer.
@@ -122,7 +121,6 @@ func NewHandleCheck(cfg HandleConfig) *analysis.Analyzer {
 		releases:   map[string]bool{},
 		inspectors: map[string]bool{},
 		handleType: map[string]bool{},
-		cfgCache:   map[*ast.FuncDecl]*analysis.CFG{},
 	}
 	for _, q := range cfg.Allocs {
 		h.allocs[q] = true
@@ -146,7 +144,9 @@ func NewHandleCheck(cfg HandleConfig) *analysis.Analyzer {
 
 func (h *handlecheckState) run(pass *analysis.Pass) error {
 	h.annotate(pass)
-	h.inferSummaries(pass)
+	if err := analysis.Summarize(pass, handleSumFact, pass.Funcs(), h.summarize, handleSummary.equal); err != nil {
+		return err
+	}
 	if pathPrefixes(pass.Pkg.Path(), h.cfg.Scope) {
 		h.reportPackage(pass)
 	}
@@ -750,47 +750,6 @@ func structOf(t types.Type) *types.Struct {
 
 // ---- package passes ----
 
-// inferSummaries computes handle summaries for this package's functions to
-// a fixpoint (wrappers of wrappers converge in as many iterations as the
-// chain is deep; four covers everything in this repository).
-func (h *handlecheckState) inferSummaries(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			sum := h.summarize(pass, cd.decl, cd.obj)
-			cur := handleSummary{}
-			if v, ok := pass.Facts.Get(cd.obj, handleSumFact); ok {
-				cur, _ = v.(handleSummary)
-			}
-			if !sum.equal(cur) {
-				pass.Facts.Set(cd.obj, handleSumFact, sum)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // paramHandles returns the handle-typed parameters of a function with
 // their positions.
 func (h *handlecheckState) paramHandles(obj *types.Func) map[int]*types.Var {
@@ -821,14 +780,14 @@ func (h *handlecheckState) entryEnv(c *handleChecker, obj *types.Func) *handleEn
 }
 
 // summarize computes one function's handle summary.
-func (h *handlecheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func) handleSummary {
-	cfg := h.cfgFor(fd)
+func (h *handlecheckState) summarize(pass *analysis.Pass, fn analysis.Func) handleSummary {
+	cfg := pass.CFG(fn.Decl.Body)
 	c := &handleChecker{h: h, pass: pass, cellAt: map[token.Pos]int{}, fresh: map[int]bool{}}
-	entry := h.entryEnv(c, obj)
+	entry := h.entryEnv(c, fn.Obj)
 	in := analysis.Forward(cfg, entry, c.transfer)
 
 	sum := handleSummary{params: map[int]int8{}}
-	params := h.paramHandles(obj)
+	params := h.paramHandles(fn.Obj)
 	exit := in[cfg.Exit.Index]
 	if exit != nil {
 		ex := exit.(*handleEnv)
@@ -851,40 +810,22 @@ func (h *handlecheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl, obj 
 	return sum
 }
 
-func (h *handlecheckState) cfgFor(fd *ast.FuncDecl) *analysis.CFG {
-	cfg := h.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		h.cfgCache[fd] = cfg
-	}
-	return cfg
-}
-
 // reportPackage replays every function with diagnostics enabled.
 func (h *handlecheckState) reportPackage(pass *analysis.Pass) {
+	for _, fn := range pass.Funcs() {
+		cfg := pass.CFG(fn.Decl.Body)
+		c := &handleChecker{h: h, pass: pass, cellAt: map[token.Pos]int{}, fresh: map[int]bool{}}
+		in := analysis.Forward(cfg, h.entryEnv(c, fn.Obj), c.transfer)
+		c.reporting = true
+		analysis.ReplayBlocks(cfg, in, c.transfer)
+	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cfg := h.cfgFor(fd)
-			c := &handleChecker{h: h, pass: pass, cellAt: map[token.Pos]int{}, fresh: map[int]bool{}}
-			entry := h.entryEnv(c, obj)
-			in := analysis.Forward(cfg, entry, c.transfer)
-			c.reporting = true
-			analysis.ReplayBlocks(cfg, in, c.transfer)
-		}
 		// Function literals run with no tracked state of their own (their
 		// captures are the enclosing function's business), so analyzing
 		// them independently checks only protocol-local bugs.
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				cfg := analysis.BuildCFG(lit.Body)
+				cfg := pass.CFG(lit.Body)
 				c := &handleChecker{h: h, pass: pass, cellAt: map[token.Pos]int{}, fresh: map[int]bool{}}
 				in := analysis.Forward(cfg, newHandleEnv(), c.transfer)
 				c.reporting = true

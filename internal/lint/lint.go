@@ -79,48 +79,18 @@ func Suite() []*analysis.Analyzer {
 	}
 }
 
-// DirectiveNames collects the legitimate //lint: directive vocabulary of an
-// analyzer set: the generic "ignore" suppression plus every analyzer's
-// dedicated directives and annotations. The second map holds the valid
-// //lint:ignore targets (analyzer names).
-func DirectiveNames(analyzers []*analysis.Analyzer) (known, names map[string]bool) {
-	known = map[string]bool{"ignore": true}
-	names = map[string]bool{}
-	for _, a := range analyzers {
-		names[a.Name] = true
-		for _, d := range a.Directives {
-			known[d] = true
-		}
-		for _, d := range a.Annotations {
-			known[d] = true
-		}
-	}
-	return known, names
-}
-
 // Run executes the analyzers over a loaded program in dependency order,
 // sharing one fact store, and returns the diagnostics of target packages
 // sorted by position.
 func Run(prog *loader.Program, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	facts := analysis.NewFactStore()
-	known, names := DirectiveNames(analyzers)
+	drv := analysis.NewDriver(analyzers, prog.Fset, prog.ModulePath, false)
 	var diags []analysis.Diagnostic
 	for _, pkg := range prog.Packages {
-		if pkg.Target {
-			diags = append(diags, analysis.CheckDirectives(prog.Fset, pkg.Files, known, names)...)
+		found, err := drv.Package(pkg.Files, pkg.Types, pkg.Info, pkg.Target)
+		if err != nil {
+			return nil, err
 		}
-		for _, a := range analyzers {
-			report := func(d analysis.Diagnostic) {
-				if pkg.Target && !a.FactsOnly {
-					diags = append(diags, d)
-				}
-			}
-			pass := analysis.NewPass(a, prog.Fset, pkg.Files, pkg.Types, pkg.Info,
-				prog.ModulePath, facts, report)
-			if err := a.Run(pass); err != nil {
-				return nil, err
-			}
-		}
+		diags = append(diags, found...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil

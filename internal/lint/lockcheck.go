@@ -45,7 +45,6 @@ import (
 type lockcheckState struct {
 	cfg      LockConfig
 	blocking map[string]bool
-	cfgCache map[*ast.FuncDecl]*analysis.CFG
 	// names maps guard objects to their annotated display form
 	// ("store.mu"); locks seen only at Lock sites render as the bare field
 	// name.
@@ -120,7 +119,6 @@ func NewLockCheck(cfg LockConfig) *analysis.Analyzer {
 	l := &lockcheckState{
 		cfg:      cfg,
 		blocking: map[string]bool{},
-		cfgCache: map[*ast.FuncDecl]*analysis.CFG{},
 		names:    map[types.Object]string{},
 	}
 	for _, b := range cfg.Blocking {
@@ -146,7 +144,9 @@ func exactScope(path string, scope []string) bool {
 
 func (l *lockcheckState) run(pass *analysis.Pass) error {
 	l.annotate(pass)
-	l.inferSummaries(pass)
+	if err := analysis.Summarize(pass, lockSumFact, pass.Funcs(), l.summarize, lockSummary.equal); err != nil {
+		return err
+	}
 	if exactScope(pass.Pkg.Path(), l.cfg.Scope) {
 		l.reportPackage(pass)
 	}
@@ -775,56 +775,14 @@ func sortedObjs(set map[types.Object]token.Pos) []types.Object {
 
 // ---- package passes ----
 
-// inferSummaries computes lock summaries for this package's functions to a
-// fixpoint, so helpers that require a caller-held lock are recognized
-// before their callers are checked — within the package by iteration,
-// across packages by the driver's dependency order.
-func (l *lockcheckState) inferSummaries(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
-		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			sum := l.summarize(pass, cd.decl)
-			cur := lockSummary{}
-			if v, ok := pass.Facts.Get(cd.obj, lockSumFact); ok {
-				cur, _ = v.(lockSummary)
-			}
-			if !sum.equal(cur) {
-				pass.Facts.Set(cd.obj, lockSumFact, sum)
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
 // summarize computes one function's lock summary: pass 1 infers entry
 // requirements (unheld guarded accesses of locks the function never
 // manipulates), pass 2 re-runs with the requirements assumed and diffs the
 // exit state against them.
-func (l *lockcheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) lockSummary {
-	cfg := l.cfgFor(fd)
-	c := &lockChecker{l: l, pass: pass, fname: fd.Name.Name}
-	c.prescan(fd.Body)
+func (l *lockcheckState) summarize(pass *analysis.Pass, fn analysis.Func) lockSummary {
+	cfg := pass.CFG(fn.Decl.Body)
+	c := &lockChecker{l: l, pass: pass, fname: fn.Decl.Name.Name}
+	c.prescan(fn.Decl.Body)
 
 	// Pass 1: collect entry requirements.
 	c.collect = map[types.Object]token.Pos{}
@@ -869,32 +827,15 @@ func (l *lockcheckState) summarize(pass *analysis.Pass, fd *ast.FuncDecl) lockSu
 	return sum
 }
 
-func (l *lockcheckState) cfgFor(fd *ast.FuncDecl) *analysis.CFG {
-	cfg := l.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		l.cfgCache[fd] = cfg
-	}
-	return cfg
-}
-
 // reportPackage runs the reporting pass over every function body and
 // function literal of an in-scope package.
 func (l *lockcheckState) reportPackage(pass *analysis.Pass) {
+	for _, fn := range pass.Funcs() {
+		v, _ := pass.Facts.Get(fn.Obj, lockSumFact)
+		sum, _ := v.(lockSummary)
+		l.reportFunc(pass, fn.Decl.Body, fn.Decl.Name.Name, sum.requires)
+	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-				var requires []types.Object
-				if obj != nil {
-					if v, ok := pass.Facts.Get(obj, lockSumFact); ok {
-						sum, _ := v.(lockSummary)
-						requires = sum.requires
-					}
-				}
-				l.reportFunc(pass, l.cfgFor(fd), fd.Body, fd.Name.Name, requires)
-			}
-		}
 		// Function literals are analyzed as independent functions: their
 		// own entry requirements are inferred first, so a closure invoked
 		// under a caller-held lock stays quiet. Directly-deferred literals
@@ -912,13 +853,13 @@ func (l *lockcheckState) reportPackage(pass *analysis.Pass) {
 		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok && !deferred[lit] {
-				cfg := analysis.BuildCFG(lit.Body)
+				cfg := pass.CFG(lit.Body)
 				c := &lockChecker{l: l, pass: pass, fname: "func literal"}
 				c.prescan(lit.Body)
 				c.collect = map[types.Object]token.Pos{}
 				in := analysis.Forward(cfg, newLockEnv(), c.transfer)
 				analysis.ReplayBlocks(cfg, in, c.transfer)
-				l.reportFunc(pass, cfg, lit.Body, "func literal", sortedObjs(c.collect))
+				l.reportFunc(pass, lit.Body, "func literal", sortedObjs(c.collect))
 			}
 			return true
 		})
@@ -927,7 +868,8 @@ func (l *lockcheckState) reportPackage(pass *analysis.Pass) {
 
 // reportFunc replays one function with diagnostics enabled and checks its
 // exit state for leaked locks.
-func (l *lockcheckState) reportFunc(pass *analysis.Pass, cfg *analysis.CFG, body *ast.BlockStmt, name string, requires []types.Object) {
+func (l *lockcheckState) reportFunc(pass *analysis.Pass, body *ast.BlockStmt, name string, requires []types.Object) {
+	cfg := pass.CFG(body)
 	c := &lockChecker{l: l, pass: pass, fname: name, requires: requires}
 	c.prescan(body)
 	entry := newLockEnv()

@@ -1,37 +1,15 @@
 package lint_test
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"coaxial/internal/lint"
 	"coaxial/internal/lint/analysis"
-	"coaxial/internal/lint/loader"
 )
 
-// concMutation plants one concurrency or lifetime bug into a real source
-// file via the loader's overlay and demands the named analyzer catches it
-// at the planted position. The bug classes mirror what the analyzers
-// exist for: dropped unlocks, accesses hoisted out of critical sections,
-// blocking sends smuggled under a lock, releases reordered before uses,
-// and ownership annotations deleted out from under escape sites.
-type concMutation struct {
-	name string
-	// file is repo-relative; old must occur exactly once and is replaced
-	// by new.
-	file     string
-	old, new string
-	// second, when non-empty, is a second replacement in the same file.
-	second [2]string
-	// patterns lists the packages to load (the mutated one last).
-	patterns []string
-	// wantSub must appear in at least one diagnostic of the analyzer in
-	// file.
-	wantSub string
-}
-
+// lockMutations plant concurrency bugs into the serve layer and the
+// Runner warm cache: dropped unlocks, accesses hoisted out of critical
+// sections, blocking sends smuggled under a lock, and a double lock.
 func lockMutations() []concMutation {
 	return []concMutation{
 		{
@@ -49,7 +27,7 @@ func lockMutations() []concMutation {
 	return j, ok
 }`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "still held when get returns",
+			want:     []string{"still held when get returns"},
 		},
 		{
 			name: "store-create-seq-before-lock",
@@ -61,7 +39,7 @@ func lockMutations() []concMutation {
 	st.mu.Lock()
 	defer st.mu.Unlock()`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "write of seq requires mu, which is not held",
+			want:     []string{"write of seq requires mu, which is not held"},
 		},
 		{
 			name: "store-markrunning-double-lock",
@@ -80,7 +58,7 @@ func lockMutations() []concMutation {
 	}
 	j.state = StateRunning`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "may already be held (self-deadlock)",
+			want:     []string{"may already be held (self-deadlock)"},
 		},
 		{
 			name: "store-notepoint-lock-dropped",
@@ -91,7 +69,7 @@ func lockMutations() []concMutation {
 			new: `func (st *store) notePoint(j *job, pr PointResult) {
 	defer st.mu.Unlock()`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "Unlock of mu, which is not held",
+			want:     []string{"Unlock of mu, which is not held"},
 		},
 		{
 			name: "store-broadcast-bare-send",
@@ -106,7 +84,7 @@ func lockMutations() []concMutation {
 		ch <- ev
 	}`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "channel send while holding mu",
+			want:     []string{"channel send while holding mu"},
 		},
 		{
 			name: "store-snapshot-helper-before-lock",
@@ -119,7 +97,7 @@ func lockMutations() []concMutation {
 	defer st.mu.Unlock()
 	return out`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "call to snapshotLocked requires mu, which is not held",
+			want:     []string{"call to snapshotLocked requires mu, which is not held"},
 		},
 		{
 			name: "server-healthz-read-before-lock",
@@ -131,7 +109,7 @@ func lockMutations() []concMutation {
 	s.mu.Lock()
 	s.mu.Unlock()`,
 			patterns: []string{"coaxial/internal/serve"},
-			wantSub:  "access to draining requires mu, which is not held",
+			want:     []string{"access to draining requires mu, which is not held"},
 		},
 		{
 			name: "runner-warmstats-entries-before-lock",
@@ -144,11 +122,14 @@ func lockMutations() []concMutation {
 	defer r.warm.mu.Unlock()
 	return WarmStats{Entries: n, Captures: r.warm.captures}`,
 			patterns: []string{"coaxial"},
-			wantSub:  "access to entries requires mu, which is not held",
+			want:     []string{"access to entries requires mu, which is not held"},
 		},
 	}
 }
 
+// handleMutations plant arena-lifetime bugs: releases reordered before
+// uses, a double release, and ownership annotations deleted out from
+// under escape sites.
 func handleMutations() []concMutation {
 	return []concMutation{
 		{
@@ -166,7 +147,7 @@ func handleMutations() []concMutation {
 	}
 	core := int(r.Core)`,
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "use of handle after release",
+			want:     []string{"use of handle after release"},
 		},
 		{
 			name: "sim-retired-double-release",
@@ -183,7 +164,7 @@ func handleMutations() []concMutation {
 	s.arena.Release(r)
 }`,
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "double release",
+			want:     []string{"double release"},
 		},
 		{
 			name: "sim-complete-release-before-measuring",
@@ -194,7 +175,7 @@ func handleMutations() []concMutation {
 	s.fillFromMemory(core, line, dirty, now)
 	s.arena.Release(r)`,
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "use of handle after release",
+			want:     []string{"use of handle after release"},
 		},
 		{
 			name: "sim-writeback-escapes-unannotated-field",
@@ -209,7 +190,7 @@ func handleMutations() []concMutation {
 				"	policy calm.Policy\n\tlastWB *memreq.Request\n",
 			},
 			patterns: []string{"coaxial/internal/sim"},
-			wantSub:  "live handle stored into field lastWB",
+			want:     []string{"live handle stored into field lastWB"},
 		},
 		{
 			name: "dram-reqqueue-owns-deleted",
@@ -220,7 +201,7 @@ func handleMutations() []concMutation {
 			new: `	keys []entryKey
 	reqs []*memreq.Request`,
 			patterns: []string{"coaxial/internal/dram"},
-			wantSub:  "live handle stored into field reqs",
+			want:     []string{"live handle stored into field reqs"},
 		},
 		{
 			name: "cxl-retired-owns-deleted",
@@ -229,7 +210,7 @@ func handleMutations() []concMutation {
 	retired []*memreq.Request`,
 			new:      `	retired []*memreq.Request`,
 			patterns: []string{"coaxial/internal/cxl"},
-			wantSub:  "live handle stored into field retired",
+			want:     []string{"live handle stored into field retired"},
 		},
 		{
 			name: "validate-reads-owns-deleted",
@@ -238,96 +219,15 @@ func handleMutations() []concMutation {
 	reads map[*memreq.Request]struct{}`,
 			new:      `	reads map[*memreq.Request]struct{}`,
 			patterns: []string{"coaxial/internal/validate"},
-			wantSub:  "live handle stored into field reads",
+			want:     []string{"live handle stored into field reads"},
 		},
 	}
 }
 
-// runConcMutation applies one mutation and runs a single analyzer over the
-// overlay, demanding a diagnostic containing wantSub in the mutated file.
-func runConcMutation(t *testing.T, root, analyzerName string, mk func() *analysis.Analyzer, m concMutation) {
-	t.Helper()
-	path := filepath.Join(root, m.file)
-	orig, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := string(orig)
-	if strings.Count(src, m.old) != 1 {
-		t.Fatalf("mutation anchor occurs %d times in %s, want 1:\n%s",
-			strings.Count(src, m.old), m.file, m.old)
-	}
-	mutated := strings.Replace(src, m.old, m.new, 1)
-	if m.second[0] != "" {
-		if strings.Count(mutated, m.second[0]) != 1 {
-			t.Fatalf("second anchor occurs %d times in %s, want 1:\n%s",
-				strings.Count(mutated, m.second[0]), m.file, m.second[0])
-		}
-		mutated = strings.Replace(mutated, m.second[0], m.second[1], 1)
-	}
-
-	prog, err := loader.LoadOverlay(root,
-		map[string][]byte{path: []byte(mutated)}, m.patterns...)
-	if err != nil {
-		t.Fatalf("load with mutation: %v", err)
-	}
-	diags, err := lint.Run(prog, []*analysis.Analyzer{mk()})
-	if err != nil {
-		t.Fatalf("lint run: %v", err)
-	}
-
-	var hit bool
-	var inFile []string
-	for _, d := range diags {
-		if d.Analyzer != analyzerName || !strings.HasSuffix(d.Pos.Filename, m.file) {
-			continue
-		}
-		inFile = append(inFile, d.String())
-		if strings.Contains(d.Message, m.wantSub) {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Errorf("mutation not caught: want a %s diagnostic containing %q in %s; got %d in file:\n%s",
-			analyzerName, m.wantSub, m.file, len(inFile), strings.Join(inFile, "\n"))
-		for _, d := range diags {
-			t.Logf("all: %s", d)
-		}
-	}
-}
-
 func TestLockCheckMutations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mutation suite shells out to go list per case")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range lockMutations() {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			runConcMutation(t, root, "lockcheck", func() *analysis.Analyzer {
-				return lint.NewLockCheck(lint.DefaultLockConfig())
-			}, m)
-		})
-	}
+	runMutations(t, func() *analysis.Analyzer { return lint.NewLockCheck(lint.DefaultLockConfig()) }, lockMutations())
 }
 
 func TestHandleCheckMutations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mutation suite shells out to go list per case")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range handleMutations() {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			runConcMutation(t, root, "handlecheck", func() *analysis.Analyzer {
-				return lint.NewHandleCheck(lint.DefaultHandleConfig())
-			}, m)
-		})
-	}
+	runMutations(t, func() *analysis.Analyzer { return lint.NewHandleCheck(lint.DefaultHandleConfig()) }, handleMutations())
 }

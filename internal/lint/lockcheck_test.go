@@ -22,3 +22,12 @@ func TestLockCheck(t *testing.T) {
 		lint.NewLockCheck(fixtureLockConfig()),
 	}, "lockfix")
 }
+
+// TestLockCheckConverges: the lock requirement of a six-deep helper chain
+// reaches the chain's entry, so the finding lands on the unlocked call and
+// not inside a helper.
+func TestLockCheckConverges(t *testing.T) {
+	cfg := lint.DefaultLockConfig()
+	cfg.Scope = []string{"lockdeep"}
+	analysistest.Run(t, "testdata", []*analysis.Analyzer{lint.NewLockCheck(cfg)}, "lockdeep")
+}

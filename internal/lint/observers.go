@@ -54,21 +54,16 @@ func NewObservers(cfg ObserverConfig) *analysis.Analyzer {
 	}
 	a.Run = func(pass *analysis.Pass) error {
 		ifaces := resolveInterfaces(pass, cfg.Interfaces)
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil || fd.Recv == nil {
-					continue
-				}
-				recvNamed := receiverNamed(pass.TypesInfo, fd)
-				if recvNamed == nil {
-					continue
-				}
-				if !observedType(recvNamed, ifaces, hookSet) {
-					continue
-				}
-				checkObserverMethod(pass, fd, recvNamed, stateSet)
+		for _, fn := range pass.Funcs() {
+			recv := fn.Obj.Type().(*types.Signature).Recv()
+			if recv == nil {
+				continue
 			}
+			recvNamed := namedOf(recv.Type())
+			if recvNamed == nil || !observedType(recvNamed, ifaces, hookSet) {
+				continue
+			}
+			checkObserverMethod(pass, fn.Decl, recvNamed, stateSet)
 		}
 		return nil
 	}
@@ -98,19 +93,6 @@ func resolveInterfaces(pass *analysis.Pass, names []string) []*types.Interface {
 		}
 	}
 	return out
-}
-
-// receiverNamed returns the named type of a method's receiver.
-func receiverNamed(info *types.Info, fd *ast.FuncDecl) *types.Named {
-	obj, ok := info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	recv := obj.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return nil
-	}
-	return namedOf(recv.Type())
 }
 
 // observedType reports whether T (or *T) implements one of the interfaces

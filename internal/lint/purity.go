@@ -35,47 +35,29 @@ func NewPurity() *analysis.Analyzer {
 }
 
 func runPurity(pass *analysis.Pass) error {
-	// Gather this package's function bodies.
-	type fnInfo struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var fns []fnInfo
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			fns = append(fns, fnInfo{decl: fd, obj: obj})
-		}
-	}
+	fns := pass.Funcs()
 
 	// Optimistic fixpoint: assume every package-local function write-free,
 	// re-evaluate until nothing more is demoted. This converges (demotions
 	// are monotone) and handles recursion and any declaration order.
 	assumed := map[*types.Func]bool{}
 	for _, fn := range fns {
-		assumed[fn.obj] = true
+		assumed[fn.Obj] = true
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range fns {
-			if !assumed[fn.obj] {
+			if !assumed[fn.Obj] {
 				continue
 			}
-			if !bodyWriteFree(pass, fn.decl, assumed) {
-				assumed[fn.obj] = false
+			if !bodyWriteFree(pass, fn.Decl, assumed) {
+				assumed[fn.Obj] = false
 				changed = true
 			}
 		}
 	}
 	for _, fn := range fns {
-		pass.Facts.Set(fn.obj, writeFreeFact, assumed[fn.obj])
+		pass.Facts.Set(fn.Obj, writeFreeFact, assumed[fn.Obj])
 	}
 	return nil
 }

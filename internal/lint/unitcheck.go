@@ -93,6 +93,14 @@ type unitSig struct {
 	results []Dim
 }
 
+// result is the dimension of the first result, unknown when undeclared.
+func (s unitSig) result() Dim {
+	if len(s.results) == 0 {
+		return ""
+	}
+	return s.results[0]
+}
+
 // UnitConfig configures the unitcheck analyzer for a repository.
 type UnitConfig struct {
 	// Scope lists import-path prefixes where findings are reported; facts
@@ -224,23 +232,20 @@ const (
 	unitSigFact = "unitsig" // *types.Func -> unitSig
 )
 
-// unitcheckState is the analyzer's parsed configuration plus caches shared
-// across packages of one run.
+// unitcheckState is the analyzer's parsed configuration.
 type unitcheckState struct {
-	cfg      UnitConfig
-	decls    map[string]Dim
-	sigs     map[string]unitSig
-	cfgCache map[*ast.FuncDecl]*analysis.CFG
+	cfg   UnitConfig
+	decls map[string]Dim
+	sigs  map[string]unitSig
 }
 
 // NewUnitCheck builds the unitcheck analyzer from a configuration.
 // Malformed Decls entries panic: the table is program text, not input.
 func NewUnitCheck(cfg UnitConfig) *analysis.Analyzer {
 	u := &unitcheckState{
-		cfg:      cfg,
-		decls:    map[string]Dim{},
-		sigs:     map[string]unitSig{},
-		cfgCache: map[*ast.FuncDecl]*analysis.CFG{},
+		cfg:   cfg,
+		decls: map[string]Dim{},
+		sigs:  map[string]unitSig{},
 	}
 	for name, spec := range cfg.Decls {
 		if strings.Contains(spec, "->") {
@@ -290,7 +295,9 @@ func parseUnitSig(spec string) (unitSig, error) {
 
 func (u *unitcheckState) run(pass *analysis.Pass) error {
 	u.annotate(pass)
-	u.infer(pass)
+	if err := u.infer(pass); err != nil {
+		return err
+	}
 	if pathPrefixes(pass.Pkg.Path(), u.cfg.Scope) {
 		u.reportPackage(pass)
 	}
@@ -360,58 +367,27 @@ func (u *unitcheckState) annotate(pass *analysis.Pass) {
 // dimension gets that dimension as a signature fact, visible to later
 // functions in this package (hence the iteration) and, because the driver
 // runs packages in dependency order, to every importing package.
-func (u *unitcheckState) infer(pass *analysis.Pass) {
-	type cand struct {
-		decl *ast.FuncDecl
-		obj  *types.Func
-	}
-	var cands []cand
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			// Only functions whose first result is numeric and whose
-			// signature is not already pinned by the table or an
-			// annotation.
-			sig := obj.Type().(*types.Signature)
-			if sig.Results().Len() == 0 || !isNumericType(sig.Results().At(0).Type()) {
-				continue
-			}
-			if _, pinned := u.sigs[funcQName(obj)]; pinned {
-				continue
-			}
-			if _, pinned := pass.Facts.Get(obj, unitSigFact); pinned {
-				continue
-			}
-			cands = append(cands, cand{decl: fd, obj: obj})
+func (u *unitcheckState) infer(pass *analysis.Pass) error {
+	var cands []analysis.Func
+	for _, fn := range pass.Funcs() {
+		// Only functions whose first result is numeric and whose signature
+		// is not already pinned by the table or an annotation.
+		sig := fn.Obj.Type().(*types.Signature)
+		if sig.Results().Len() == 0 || !isNumericType(sig.Results().At(0).Type()) {
+			continue
 		}
-	}
-	for iter := 0; iter < 4; iter++ {
-		changed := false
-		for _, cd := range cands {
-			returns := u.analyzeFunc(pass, cd.decl, cd.obj, false)
-			inferred := joinReturns(returns)
-			cur := Dim("")
-			if v, ok := pass.Facts.Get(cd.obj, unitSigFact); ok {
-				if s, _ := v.(unitSig); len(s.results) > 0 {
-					cur = s.results[0]
-				}
-			}
-			if inferred != cur {
-				pass.Facts.Set(cd.obj, unitSigFact, unitSig{results: []Dim{inferred}})
-				changed = true
-			}
+		if _, pinned := u.sigs[funcQName(fn.Obj)]; pinned {
+			continue
 		}
-		if !changed {
-			break
+		if _, pinned := pass.Facts.Get(fn.Obj, unitSigFact); pinned {
+			continue
 		}
+		cands = append(cands, fn)
 	}
+	return analysis.Summarize(pass, unitSigFact, cands, func(pass *analysis.Pass, fn analysis.Func) unitSig {
+		returns := u.analyzeFunc(pass, fn, false)
+		return unitSig{results: []Dim{joinReturns(returns)}}
+	}, func(a, b unitSig) bool { return a.result() == b.result() })
 }
 
 // joinReturns reduces the dimensions a function returns to one: all equal
@@ -435,13 +411,10 @@ func joinReturns(returns []Dim) Dim {
 // reportPackage runs the reporting pass over every function body and
 // function literal of an in-scope package.
 func (u *unitcheckState) reportPackage(pass *analysis.Pass) {
+	for _, fn := range pass.Funcs() {
+		u.analyzeFunc(pass, fn, true)
+	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-				u.analyzeFunc(pass, fd, obj, true)
-			}
-		}
 		// Function literals are analyzed as independent functions: captured
 		// variables are unknown (safe), parameters follow the naming
 		// conventions.
@@ -456,21 +429,14 @@ func (u *unitcheckState) reportPackage(pass *analysis.Pass) {
 
 // analyzeFunc runs the flow engine over one function declaration and
 // returns the dimensions of its return statements' first results.
-func (u *unitcheckState) analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, obj *types.Func, report bool) []Dim {
-	cfg := u.cfgCache[fd]
-	if cfg == nil {
-		cfg = analysis.BuildCFG(fd.Body)
-		u.cfgCache[fd] = cfg
-	}
-	c := &unitChecker{u: u, pass: pass, scope: fd}
+func (u *unitcheckState) analyzeFunc(pass *analysis.Pass, fn analysis.Func, report bool) []Dim {
+	cfg := pass.CFG(fn.Decl.Body)
+	c := &unitChecker{u: u, pass: pass, scope: fn.Decl, fname: fn.Obj.Name()}
 	env := &unitEnv{vars: map[types.Object]Dim{}}
-	if obj != nil {
-		sig := obj.Type().(*types.Signature)
-		declared, _ := u.sigOf(pass, obj)
-		u.seedParams(env, sig.Params(), declared.params)
-		u.seedResults(c, env, sig.Results(), declared.results)
-		c.fname = obj.Name()
-	}
+	sig := fn.Obj.Type().(*types.Signature)
+	declared, _ := u.sigOf(pass, fn.Obj)
+	u.seedParams(env, sig.Params(), declared.params)
+	u.seedResults(c, env, sig.Results(), declared.results)
 	in := analysis.Forward(cfg, env, c.transfer)
 	c.reporting = report
 	c.collectReturns = !report
@@ -481,7 +447,7 @@ func (u *unitcheckState) analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, obj 
 // analyzeFuncLit analyzes a function literal's body with convention-seeded
 // parameters only.
 func (u *unitcheckState) analyzeFuncLit(pass *analysis.Pass, lit *ast.FuncLit, report bool) {
-	cfg := analysis.BuildCFG(lit.Body)
+	cfg := pass.CFG(lit.Body)
 	c := &unitChecker{u: u, pass: pass, scope: lit, fname: "func literal"}
 	env := &unitEnv{vars: map[types.Object]Dim{}}
 	if sig, ok := pass.TypesInfo.TypeOf(lit).(*types.Signature); ok {
@@ -1098,8 +1064,8 @@ func (c *unitChecker) call(x *ast.CallExpr, env *unitEnv) Dim {
 			}
 		}
 	}
-	if hasSig && len(sig.results) > 0 {
-		return sig.results[0]
+	if hasSig {
+		return sig.result()
 	}
 	return ""
 }

@@ -140,12 +140,6 @@ func TopologyNames() []string {
 }
 
 // TopologyPresetByName resolves a preset by its canonical name.
-//
-// Deprecated: the stringly-typed lookup exists for CLI flag parsing and
-// callers migrating from the old per-CLI `configs` maps; new code should
-// call the typed constructors (TopologyDDRBaseline, TopologyCoaxial4x,
-// TopologyCoaxialPooled, ...) directly. The alias is pinned equivalent to
-// the constructors by TestTopologyPresetAliases.
 func TopologyPresetByName(name string) (TopologyPreset, error) {
 	for _, p := range topologyPresets {
 		if p.name == name {
