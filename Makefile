@@ -51,11 +51,11 @@ lint-baseline:
 # lint-mutations proves the analyzers still catch what they exist to
 # catch: each suite plants real bugs (dimension slips, dropped unlocks,
 # reordered arena releases, deleted ownership annotations, hot-path
-# allocations) into the shipping sources via a load-time overlay and fails
-# if any survive. The two -fix tests apply alloccheck's suggested fixes to
+# allocations, shared writes in the rack's parallel host phase) into the
+# shipping sources via a load-time overlay and fails if any survive. The two -fix tests apply alloccheck's suggested fixes to
 # planted bugs and check the rewritten source.
 lint-mutations:
-	$(GO) test -count=1 -run 'TestUnitCheckMutations|TestLockCheckMutations|TestHandleCheckMutations|TestAllocCheckMutations|TestAllocCheckCapacityHintFix|TestAllocCheckHoistFix' ./internal/lint/
+	$(GO) test -count=1 -run 'TestUnitCheckMutations|TestLockCheckMutations|TestHandleCheckMutations|TestAllocCheckMutations|TestPhaseIsoMutations|TestAllocCheckCapacityHintFix|TestAllocCheckHoistFix' ./internal/lint/
 
 # golden regenerates the golden result corpus after an intentional change
 # to simulated numbers. Review the testdata/golden diff like code.

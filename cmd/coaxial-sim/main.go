@@ -39,7 +39,6 @@ func main() {
 		calmR    = flag.Float64("calm-r", 0.70, "CALM_R threshold (with -calm calm-r)")
 		calmKind = flag.String("calm", "", "CALM override: off, calm-r, map-i, ideal")
 		cxlNS    = flag.Float64("cxl-premium", 0, "CXL total latency premium in ns (0 = default 50)")
-		par      = flag.Int("parallelism", 0, "tick-phase goroutines per host (<=1 = sequential; results identical)")
 		rackPar  = flag.Int("rack-parallelism", 0, "host-phase goroutines across the rack (<=1 = sequential; results identical)")
 		clocking = flag.String("clocking", "event", "clock advance: event (skip dead cycles) or cycle (reference loop); results are identical")
 		validate = flag.Bool("validate", false, "run the differential validation harness (DDR timing oracle + lifecycle invariants); observation-only")
@@ -110,7 +109,6 @@ func main() {
 		coaxial.WithSeed(*seed),
 		coaxial.WithWindows(0, *warmup, *measure),
 		coaxial.WithClocking(mode),
-		coaxial.WithParallelism(*par),
 		coaxial.WithRackParallelism(*rackPar),
 	}
 	if *validate {

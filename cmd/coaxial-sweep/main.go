@@ -39,7 +39,6 @@ func main() {
 		validate = flag.Bool("validate", false, "run the differential validation harness alongside every simulation (observation-only)")
 		workList = flag.String("workloads", "", "comma-separated workload subset (default: all 36)")
 		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		par      = flag.Int("parallelism", 0, "tick-phase goroutines per simulation (<=1 = sequential; results identical)")
 		rackPar  = flag.Int("rack-parallelism", 0, "host-phase goroutines per rack simulation (<=1 = sequential; results identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -61,7 +60,6 @@ func main() {
 	rc := coaxial.DefaultRunConfig()
 	rc.WarmupInstr, rc.MeasureInstr, rc.Seed = *warmup, *measure, *seed
 	rc.Workers = *workers
-	rc.Parallelism = *par
 	rc.RackParallelism = *rackPar
 	rc.Validate = *validate
 	runner := coaxial.NewRunner(coaxial.WithRunConfig(rc))

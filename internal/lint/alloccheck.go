@@ -93,13 +93,13 @@ func DefaultAllocConfig() AllocConfig {
 	return AllocConfig{
 		HotFuncs: []string{
 			// sim.System: the phased tick — per-cycle step, event-driven
-			// step, core/backend drains, and the request completion path.
+			// step, core-event and retired drains, and the request
+			// completion path.
 			"coaxial/internal/sim.System.step",
 			"coaxial/internal/sim.System.stepEvent",
 			"coaxial/internal/sim.System.tickEventCycle",
 			"coaxial/internal/sim.System.nextEventBound",
 			"coaxial/internal/sim.System.drainCoreEvents",
-			"coaxial/internal/sim.System.drainCompletions",
 			"coaxial/internal/sim.System.drainRetired",
 			"coaxial/internal/sim.System.Access",
 			"coaxial/internal/sim.System.Complete",

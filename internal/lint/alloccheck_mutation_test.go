@@ -59,11 +59,12 @@ func allocMutations() []concMutation {
 			old:      `		s.val.lc.OnIssue(r, at) //lint:alloc validation hook; allocates only when recording an invariant failure`,
 			new:      `		s.val.lc.OnIssue(r, at)`,
 			patterns: []string{"coaxial/internal/sim"},
-			// OnIssue is reached only five helpers below drainCompletions,
-			// which its hot callers reach only once summaries converge.
+			// Complete, a hot root, reaches OnIssue only through
+			// fillFromMemory → writeback → send, so its finding at the
+			// fillFromMemory call needs the summaries to converge.
 			want: []string{
 				"call to OnIssue allocates in hot path",
-				"call to drainCompletions allocates in hot path",
+				"call to fillFromMemory allocates in hot path",
 			},
 		},
 		{

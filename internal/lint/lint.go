@@ -52,7 +52,7 @@ func Suite() []*analysis.Analyzer {
 		NewPurity(),
 		NewDeterminism(HotPathPackages),
 		NewPhaseIsolation(HotPathPackages, []string{
-			"coaxial/internal/sim.WorkerPool.Run",
+			"coaxial/internal/rack.workerPool.Run",
 		}),
 		NewCounters(CounterConfig{
 			CounterTypes: []string{

@@ -29,6 +29,9 @@ type concMutation struct {
 	// want lists substrings that must each appear in at least one of the
 	// analyzer's diagnostics in file.
 	want []string
+	// atPlant, when set, also requires each wanted diagnostic to sit on a
+	// line of new: for findings reported at the planted statement itself.
+	atPlant bool
 }
 
 // mutationRoot returns the repository root; the mutation suites shell
@@ -52,10 +55,15 @@ func runMutations(t *testing.T, newAnalyzer func() *analysis.Analyzer, cases []c
 	for _, m := range cases {
 		t.Run(m.name, func(t *testing.T) {
 			a := newAnalyzer()
-			diags, _, _ := mutateAndLint(t, root, a, m)
+			diags, _, text := mutateAndLint(t, root, a, m)
+			first, last := 1, strings.Count(string(text), "\n")+1
+			if m.atPlant {
+				first = strings.Count(string(text[:strings.Index(string(text), m.new)]), "\n") + 1
+				last = first + strings.Count(m.new, "\n")
+			}
 			var inFile []analysis.Diagnostic
 			for _, d := range diags {
-				if d.Analyzer == a.Name && strings.HasSuffix(d.Pos.Filename, m.file) {
+				if d.Analyzer == a.Name && strings.HasSuffix(d.Pos.Filename, m.file) && d.Pos.Line >= first && d.Pos.Line <= last {
 					inFile = append(inFile, d)
 				}
 			}

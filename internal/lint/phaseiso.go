@@ -7,14 +7,14 @@ import (
 	"coaxial/internal/lint/analysis"
 )
 
-// NewPhaseIsolation returns the analyzer guarding the parallel tick phases
-// of sim.System.step: the function literals handed to the worker pool (and
-// any goroutine bodies in scope packages) may only write state derived from
-// their own worker index — the structural invariant TestParallelTickRace
+// NewPhaseIsolation returns the analyzer guarding the parallel host phase
+// of rack.Step: the function literals handed to the worker pool (and any
+// goroutine bodies in scope packages) may only write state derived from
+// their own worker index — the structural invariant TestRackParallelTickRace
 // verifies probabilistically at runtime.
 //
 // spawners lists the pool entry points as "pkgpath.Recv.Name" (e.g.
-// "coaxial/internal/sim.WorkerPool.Run"); the last func-literal argument of
+// "coaxial/internal/rack.workerPool.Run"); the last func-literal argument of
 // a spawner call is treated as a worker body whose first int parameter is
 // the worker index. A spawner naming an analyzed package that declares no
 // such method is itself a finding. Inside a worker body the analyzer
@@ -77,7 +77,7 @@ func lastFuncLit(call *ast.CallExpr) *ast.FuncLit {
 }
 
 // workerIndexParam returns the object of the literal's first parameter
-// (the worker index by the WorkerPool.Run convention), or nil.
+// (the worker index by the workerPool.Run convention), or nil.
 func workerIndexParam(pass *analysis.Pass, lit *ast.FuncLit) types.Object {
 	params := lit.Type.Params
 	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {

@@ -19,10 +19,8 @@ const arenaSlab = 256
 // freelist, and Handle captures the generation at a point in time for later
 // revalidation (the lifecycle checker's escaped-handle test).
 //
-// An Arena is not safe for concurrent use. The simulator allocates and
-// releases only in the sequential phases of the tick loop (the core-event
-// drain, the completion drain, and the retired-write drain all run at the
-// cycle barrier), so the per-system arena needs no locking.
+// An Arena is not safe for concurrent use. Each simulated system owns one
+// and ticks on one goroutine, so the per-system arena needs no locking.
 type Arena struct {
 	slabs [][]Request
 	//lint:owns the freelist is the released state; Alloc hands slots back out

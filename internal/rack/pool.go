@@ -1,16 +1,15 @@
-package sim
+package rack
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// WorkerPool runs the parallel phases of a tick — a System's core and
-// backend ticks, a rack's host phase — across a fixed set of goroutines.
+// workerPool runs the rack's host phase across a fixed set of goroutines.
 // Workers are persistent and block on a channel between phases — no
 // spinning — so an idle pool costs nothing; the caller participates in
 // every phase, so a pool of size n-1 yields n-way parallelism.
-type WorkerPool struct {
+type workerPool struct {
 	tasks chan poolTask
 	size  int
 }
@@ -24,9 +23,9 @@ type poolTask struct {
 	wg  *sync.WaitGroup
 }
 
-// NewWorkerPool starts a pool of size helper goroutines.
-func NewWorkerPool(size int) *WorkerPool {
-	p := &WorkerPool{size: size, tasks: make(chan poolTask)}
+// newWorkerPool starts a pool of size helper goroutines.
+func newWorkerPool(size int) *workerPool {
+	p := &workerPool{size: size, tasks: make(chan poolTask)}
 	for w := 0; w < size; w++ {
 		go func() {
 			for t := range p.tasks {
@@ -46,7 +45,7 @@ func NewWorkerPool(size int) *WorkerPool {
 
 // Run applies fn to every index in [0, n) across the pool plus the calling
 // goroutine, returning when all calls have completed (the phase barrier).
-func (p *WorkerPool) Run(n int, fn func(int)) {
+func (p *workerPool) Run(n int, fn func(int)) {
 	var idx atomic.Int64
 	var wg sync.WaitGroup
 	helpers := p.size
@@ -69,7 +68,7 @@ func (p *WorkerPool) Run(n int, fn func(int)) {
 }
 
 // Close releases the pool's goroutines. Safe on a nil pool.
-func (p *WorkerPool) Close() {
+func (p *workerPool) Close() {
 	if p != nil {
 		close(p.tasks)
 	}

@@ -5,9 +5,8 @@
 // arbitration, per-host fairness accounting, and head-of-line contention
 // all happen there.
 //
-// The rack advances all hosts in lockstep with the same phased-tick
-// deterministic-drain discipline that makes intra-system parallelism
-// bit-identical. One rack step to cycle `next`:
+// The rack advances all hosts in lockstep with a phased tick. One rack
+// step to cycle `next`:
 //
 //	next    = min over hosts of NextEventBound(limit),
 //	          min over devices of NextEvent(now)      (event clocking)
@@ -184,7 +183,7 @@ func RunFrom(ctx context.Context, cfg Config, workloads [][]trace.Workload, rc s
 	if err != nil {
 		return Result{}, err
 	}
-	defer rk.close()
+	defer rk.pool.Close()
 	var res Result
 	err = sim.RunWindows(ctx, rk, "rack: "+cfg.Name, rc, func() { res = rk.collect(workloads) })
 	return res, err
@@ -197,7 +196,7 @@ type rack struct {
 	hosts    []*sim.System
 	ports    [][]*cxl.Port // per host, in channel order; nil when unpooled
 	devices  []*cxl.PooledDevice
-	pool     *sim.WorkerPool
+	pool     *workerPool
 	clocking sim.Clocking
 	validate bool
 	oracles  []*validate.Oracle
@@ -244,14 +243,13 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 			sys.Prewarm(hrc)
 		}
 		if err != nil {
-			rk.close()
 			return nil, fmt.Errorf("rack: %q host %d: %w", cfg.Name, h, err)
 		}
 		rk.hosts = append(rk.hosts, sys)
 		rk.ports = append(rk.ports, ports)
 	}
 	if rc.RackParallelism > 1 && len(rk.hosts) > 1 {
-		rk.pool = sim.NewWorkerPool(rc.RackParallelism - 1)
+		rk.pool = newWorkerPool(rc.RackParallelism - 1)
 	}
 	if rc.Validate {
 		rk.wireValidation()
@@ -293,16 +291,6 @@ func (rk *rack) wireValidation() {
 			}
 		})
 	}
-}
-
-// close releases every host's worker goroutines and the rack's own pool.
-func (rk *rack) close() {
-	for _, s := range rk.hosts {
-		if s != nil {
-			s.Close()
-		}
-	}
-	rk.pool.Close()
 }
 
 // Now implements sim.Stepper: the rack's lockstep cycle.

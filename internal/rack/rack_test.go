@@ -90,14 +90,12 @@ func TestRackValidationClean(t *testing.T) {
 func TestRackParallelTickRace(t *testing.T) {
 	rc := testRC()
 	rc.RackParallelism = 4
-	rc.Parallelism = 2
 	wls := make([][]trace.Workload, 4)
 	for h := range wls {
 		wls[h] = trace.RackMix(h, 12)
 	}
 	seqRC := rc
 	seqRC.RackParallelism = 1
-	seqRC.Parallelism = 1
 	par, err := Run(context.Background(), pooledRack(4), wls, rc)
 	if err != nil {
 		t.Fatalf("parallel rack run: %v", err)
@@ -107,6 +105,6 @@ func TestRackParallelTickRace(t *testing.T) {
 		t.Fatalf("sequential rack run: %v", err)
 	}
 	if !reflect.DeepEqual(par, seq) {
-		t.Errorf("rack results diverge across RackParallelism/Parallelism:\npar: %+v\nseq: %+v", par, seq)
+		t.Errorf("rack results diverge across RackParallelism:\npar: %+v\nseq: %+v", par, seq)
 	}
 }

@@ -38,7 +38,7 @@ const (
 	MaxPoints = 64
 	// MaxInstr bounds each simulation window (per core, instructions).
 	MaxInstr = 200_000_000
-	// MaxParallelism bounds the requested tick-phase worker counts.
+	// MaxParallelism bounds the requested rack_parallelism.
 	MaxParallelism = 64
 	// maxRequestBytes bounds the request body read by DecodeJobRequest.
 	maxRequestBytes = 1 << 20
@@ -71,7 +71,6 @@ type JobRequest struct {
 	Sample  *Sample  `json:"sample,omitempty"`
 
 	Clocking        string `json:"clocking,omitempty"`
-	Parallelism     int    `json:"parallelism,omitempty"`
 	RackParallelism int    `json:"rack_parallelism,omitempty"`
 	Validate        bool   `json:"validate,omitempty"`
 }
@@ -276,11 +275,9 @@ func (q JobRequest) runConfig() (coaxial.RunConfig, error) {
 	default:
 		return rc, badRequestf("unknown clocking %q (want event or cycle)", q.Clocking)
 	}
-	if q.Parallelism < 0 || q.Parallelism > MaxParallelism ||
-		q.RackParallelism < 0 || q.RackParallelism > MaxParallelism {
-		return rc, badRequestf("parallelism out of range [0, %d]", MaxParallelism)
+	if q.RackParallelism < 0 || q.RackParallelism > MaxParallelism {
+		return rc, badRequestf("rack_parallelism out of range [0, %d]", MaxParallelism)
 	}
-	rc.Parallelism = q.Parallelism
 	rc.RackParallelism = q.RackParallelism
 	rc.Validate = q.Validate
 	return rc, nil

@@ -19,6 +19,7 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"negative window", `{"kind":"run","windows":{"measure":-5}}`},
 		{"negative seed", `{"kind":"run","seed":-1}`},
 		{"wrong type", `{"kind":["run"]}`},
+		{"removed parallelism field", `{"kind":"run","parallelism":2}`},
 	}
 	for _, tc := range cases {
 		_, err := DecodeJobRequest(strings.NewReader(tc.body))
@@ -58,7 +59,7 @@ func TestJobRequestPointsRejects(t *testing.T) {
 		{"half sample", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc",
 			Sample: &Sample{Detail: 100}, Windows: w}},
 		{"bad clocking", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc", Clocking: "warp", Windows: w}},
-		{"negative parallelism", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc", Parallelism: -1, Windows: w}},
+		{"negative rack_parallelism", JobRequest{Kind: "run", Preset: "coaxial-4x", Workload: "gcc", RackParallelism: -1, Windows: w}},
 		{"too many points", JobRequest{Kind: "sweep",
 			Presets:   []string{"ddr-baseline", "coaxial-2x", "coaxial-4x", "coaxial-5x", "coaxial-asym"},
 			Workloads: coaxial.WorkloadNames()[:13], Windows: w}},

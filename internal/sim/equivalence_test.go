@@ -8,10 +8,9 @@ import (
 	"coaxial/internal/trace"
 )
 
-// TestClockingEquivalence is the golden guard for the main loop: every
-// combination of clocking mode (event-driven vs the cycle-by-cycle
-// reference) and tick-phase parallelism must be bit-identical — every
-// Result field (IPC, cycle counts, latency breakdown and histogram
+// TestClockingEquivalence is the golden guard for the main loop: the
+// event-driven loop and the cycle-by-cycle reference must be bit-identical
+// — every Result field (IPC, cycle counts, latency breakdown and histogram
 // percentiles, DRAM counters, CALM tallies) equal across configs covering
 // direct DDR, symmetric CXL, asymmetric CXL (two DDR channels per device),
 // same-bank refresh, and a partially-idle machine, over low- and high-MPKI
@@ -55,22 +54,13 @@ func TestClockingEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("event-driven: %v", err)
 					}
-					for _, mode := range []Clocking{EventDriven, CycleByCycle} {
-						for _, par := range []int{1, 3} {
-							if mode == EventDriven && par == 1 {
-								continue // the reference itself
-							}
-							rc.Clocking = mode
-							rc.Parallelism = par
-							got, err := Run(tc.cfg, w, rc)
-							if err != nil {
-								t.Fatalf("mode %d par %d: %v", mode, par, err)
-							}
-							if !reflect.DeepEqual(ref, got) {
-								t.Errorf("mode %d par %d diverges from event-driven/sequential\nref: %+v\ngot: %+v",
-									mode, par, ref, got)
-							}
-						}
+					rc.Clocking = CycleByCycle
+					got, err := Run(tc.cfg, w, rc)
+					if err != nil {
+						t.Fatalf("cycle-by-cycle: %v", err)
+					}
+					if !reflect.DeepEqual(ref, got) {
+						t.Errorf("cycle-by-cycle diverges from event-driven\nref: %+v\ngot: %+v", ref, got)
 					}
 				})
 			}
@@ -78,11 +68,11 @@ func TestClockingEquivalence(t *testing.T) {
 	}
 }
 
-// TestClockingEquivalenceRackMix extends the clocking/parallelism
-// equivalence guard to multi-core mixed-MPKI runs on the CXL-pooled
-// configs: every core runs a different workload (the rack assignment), so
-// per-core generators, CALM state, and backend queues all differ — the
-// regime where a phase-ordering bug in the parallel tick loop would show.
+// TestClockingEquivalenceRackMix extends the clocking equivalence guard to
+// multi-core mixed-MPKI runs on the CXL-pooled configs: every core runs a
+// different workload (the rack assignment), so per-core generators, CALM
+// state, and backend queues all differ — the regime where a phase-ordering
+// bug in the event loop would show.
 func TestClockingEquivalenceRackMix(t *testing.T) {
 	for _, cfg := range []Config{Coaxial4x(), CoaxialPooled()} {
 		for _, rack := range []int{0, 1} {
@@ -99,22 +89,13 @@ func TestClockingEquivalenceRackMix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("event-driven: %v", err)
 				}
-				for _, mode := range []Clocking{EventDriven, CycleByCycle} {
-					for _, par := range []int{1, 3} {
-						if mode == EventDriven && par == 1 {
-							continue // the reference itself
-						}
-						rc.Clocking = mode
-						rc.Parallelism = par
-						got, err := RunMix(cfg, wl, rc)
-						if err != nil {
-							t.Fatalf("mode %d par %d: %v", mode, par, err)
-						}
-						if !reflect.DeepEqual(ref, got) {
-							t.Errorf("mode %d par %d diverges from event-driven/sequential\nref: %+v\ngot: %+v",
-								mode, par, ref, got)
-						}
-					}
+				rc.Clocking = CycleByCycle
+				got, err := RunMix(cfg, wl, rc)
+				if err != nil {
+					t.Fatalf("cycle-by-cycle: %v", err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Errorf("cycle-by-cycle diverges from event-driven\nref: %+v\ngot: %+v", ref, got)
 				}
 			})
 		}

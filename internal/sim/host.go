@@ -8,9 +8,9 @@ import (
 // This file is the external driver surface of a System: the handles a
 // multi-host topology (internal/rack) needs to step hosts in lockstep
 // under its own phased cycle instead of System.Step. The methods re-expose
-// existing sequential-phase internals unchanged, so a driver composing
-// them in the documented order reproduces Step bit-exactly (the 1-host leg
-// of TestRackClockingEquivalence pins this).
+// existing internals unchanged, so a driver composing them in the
+// documented order reproduces Step bit-exactly (the 1-host leg of
+// TestRackClockingEquivalence pins this).
 //
 // Per-cycle protocol for a rack step to cycle `next`:
 //
@@ -79,11 +79,10 @@ func (s *System) WakeBackendAt(ch int, at int64) { s.wakeBackend(ch, at) }
 // the rack's sequential per-host phase E; harmlessly idempotent.
 func (s *System) DrainRetiredNow() { s.drainRetired() }
 
-// Configure applies rc's per-system settings — tick parallelism, clocking,
-// and the validation harness — to a freshly built system, before its first
-// tick. Every run path calls it.
+// Configure applies rc's per-system settings — clocking and the validation
+// harness — to a freshly built system, before its first tick. Every run
+// path calls it.
 func (s *System) Configure(rc RunConfig) {
-	s.SetParallelism(rc.Parallelism)
 	s.SetClocking(rc.Clocking)
 	if rc.Validate {
 		s.EnableValidation()

@@ -38,11 +38,6 @@ type RunConfig struct {
 	Clocking Clocking
 	// Workers bounds RunSuite's parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Parallelism is the intra-system tick-phase worker count: cores and
-	// memory backends due at a cycle tick on this many goroutines between
-	// the cycle's synchronization points (see System.SetParallelism).
-	// Results are bit-identical for every value; <= 1 ticks sequentially.
-	Parallelism int
 	// SampleDetailInstr and SampleFastFwdInstr enable sampled simulation
 	// when both are positive: the measure phase alternates detailed windows
 	// of SampleDetailInstr per-core instructions with functional
@@ -67,9 +62,8 @@ type RunConfig struct {
 	Topology string
 	// RackParallelism is the rack-level host-shard worker count: hosts
 	// tick on this many goroutines between rack phases. Results are
-	// bit-identical for every value; <= 1 ticks hosts sequentially. It is
-	// independent of Parallelism (the intra-host worker count) and unused
-	// by single-host runs.
+	// bit-identical for every value; <= 1 ticks hosts sequentially. Unused
+	// by single-host runs: a host always ticks on one goroutine.
 	RackParallelism int
 	// OnProgress, when non-nil, observes phase progress at the
 	// cancellation-poll boundaries of the run loop (every ctxCheckCycles
@@ -208,7 +202,6 @@ func runGens(ctx context.Context, cfg Config, gens []trace.Generator, hints []tr
 	if err != nil {
 		return Result{}, err
 	}
-	defer sys.Close()
 	sys.Configure(rc)
 	sys.Prewarm(rc)
 	return sys.timedPhases(ctx, label, rc)

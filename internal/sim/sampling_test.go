@@ -71,7 +71,7 @@ func TestSampledAccuracyBudget(t *testing.T) {
 // TestSampledClockingEquivalence pins sampled mode to the same determinism
 // contract as detailed mode: the fast-forward stream is deterministic and
 // the frozen-core drain is event-schedule-independent, so sampled results
-// must be bit-identical across clocking mode and tick-phase parallelism.
+// must be bit-identical across clocking modes.
 func TestSampledClockingEquivalence(t *testing.T) {
 	w, err := trace.WorkloadByName("pop2")
 	if err != nil {
@@ -91,22 +91,13 @@ func TestSampledClockingEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("event-driven: %v", err)
 	}
-	for _, mode := range []Clocking{EventDriven, CycleByCycle} {
-		for _, par := range []int{1, 3} {
-			if mode == EventDriven && par == 1 {
-				continue // the reference itself
-			}
-			rc.Clocking = mode
-			rc.Parallelism = par
-			got, err := Run(cfg, w, rc)
-			if err != nil {
-				t.Fatalf("mode %d par %d: %v", mode, par, err)
-			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("mode %d par %d diverges from event-driven/sequential\nref: %+v\ngot: %+v",
-					mode, par, ref, got)
-			}
-		}
+	rc.Clocking = CycleByCycle
+	got, err := Run(cfg, w, rc)
+	if err != nil {
+		t.Fatalf("cycle-by-cycle: %v", err)
+	}
+	if !reflect.DeepEqual(ref, got) {
+		t.Errorf("cycle-by-cycle diverges from event-driven\nref: %+v\ngot: %+v", ref, got)
 	}
 }
 

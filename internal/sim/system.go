@@ -51,13 +51,12 @@ type spillItem struct {
 	at int64
 }
 
-// memEvent is one beyond-L2 action a core produced during the (potentially
-// parallel) core tick phase, buffered for the sequential drain at the cycle
-// barrier. Cores only touch their private L1/L2 inline; everything that
-// reaches shared state — the LLC, the CALM policy, the NoC send path — is
-// deferred here, so core ticks never race and the drain (in fixed core
-// order) reproduces exactly the shared-state operation order the
-// sequential loop would have produced.
+// memEvent is one beyond-L2 action a core produced during the core tick
+// phase, buffered for the drain that follows it. Cores only touch their
+// private L1/L2 inline; everything that reaches shared state — the LLC, the
+// CALM policy, the NoC send path — is deferred here, so every LLC lookup,
+// CALM decision and send of a cycle happens after all due cores ticked, in
+// fixed core order.
 type memEvent struct {
 	kind  uint8 // evAccess or evVictim
 	store bool
@@ -74,31 +73,9 @@ const (
 	evVictim
 )
 
-// completion is one backend completion buffered during the (potentially
-// parallel) backend tick phase, delivered by drainCompletions at the cycle
-// barrier in backend order.
-type completion struct {
-	//lint:owns released by Complete (reads) or the retired drain (writes) after delivery
-	r  *memreq.Request
-	at int64
-}
-
-// chanCompleter is the per-channel memreq.Completer handed to backends:
-// each channel appends only to its own buffer, so the backend tick phase
-// is race-free and the sequential drain preserves channel order.
-type chanCompleter struct {
-	s  *System
-	ch int
-}
-
-// Complete implements memreq.Completer.
-func (c *chanCompleter) Complete(r *memreq.Request, at int64) {
-	c.s.doneBuf[c.ch] = append(c.s.doneBuf[c.ch], completion{r: r, at: at})
-}
-
 // retirer is a backend that buffers requests dying inside it (writes whose
-// CAS retired with no completion callback) for the sequential retired
-// drain; dram.Channel and cxl.Channel both satisfy it.
+// CAS retired with no completion callback) for the retired drain;
+// dram.Channel and cxl.Channel both satisfy it.
 type retirer interface {
 	SetCollectRetired(bool)
 	DrainRetired(func(*memreq.Request))
@@ -150,34 +127,25 @@ type System struct {
 	coreNext    []int64
 	backendNext []int64
 
-	// Phased-tick state: per-core buffers of beyond-L2 work generated
-	// during the core tick phase, and per-channel buffers of completions
-	// generated during the backend tick phase, both drained sequentially
-	// at the cycle barrier (see step/stepEvent). Always on — for every
-	// clocking mode and parallelism level — so results are identical by
-	// construction whatever the worker count.
+	// coreEvents holds, per core, the beyond-L2 work generated during the
+	// core tick phase, applied by drainCoreEvents after it (see step). Used
+	// under both clocking modes, so they share one semantics.
 	coreEvents [][]memEvent
-	//lint:owns drained every cycle barrier by drainCompletions, which hands each entry to Complete
-	doneBuf    [][]completion
-	completers []*chanCompleter
 
 	// touchSink keeps the cache-metadata pre-touch loads (Access,
-	// drainCompletions) observable so the compiler cannot elide them;
-	// per-core slots because Access may run concurrently across cores.
-	touchSink []uint64
+	// prefillLLC) observable so the compiler cannot elide them.
+	touchSink uint64
 
 	// arena recycles memreq.Request allocations: every request the system
 	// creates (LLC-miss reads, CALM probes, write-backs) is arena-allocated
 	// and released at its death point — reads at their completion callback,
 	// writes when the backends' retired drain hands them back — so a loaded
-	// steady-state window allocates nothing per request. All alloc/release
-	// sites run in the sequential phases of the tick loop (or, in
-	// direct-completion mode, inside the sequential backend ticks), so the
-	// arena needs no locking.
+	// steady-state window allocates nothing per request. A System ticks on
+	// one goroutine, so the arena needs no locking.
 	arena *memreq.Arena
 	// retirers are the backends that buffer requests dying inside them
 	// (write CAS retirements with no completer); drainRetired releases
-	// those at the cycle barrier. retirerOf indexes the same backends by
+	// those after the backend ticks. retirerOf indexes the same backends by
 	// channel so the event loop can drain only the backends that ticked —
 	// a request can only retire during its backend's tick, so un-ticked
 	// backends provably buffered nothing. retireFn is the pre-bound
@@ -219,10 +187,6 @@ type System struct {
 	ffAccesses   uint64
 	ffMisses     uint64
 
-	// par is the tick-phase worker count (<=1: sequential); pool holds the
-	// par-1 helper goroutines when parallel.
-	par  int
-	pool *WorkerPool
 	// dueCores/dueBackends are reused scratch lists of the components due
 	// at the cycle stepEvent selected.
 	dueCores    []int
@@ -359,12 +323,6 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 		s.backendNext[i] = 1
 	}
 	s.coreEvents = make([][]memEvent, len(s.cores))
-	s.touchSink = make([]uint64, len(s.cores))
-	s.doneBuf = make([][]completion, len(s.backends))
-	s.completers = make([]*chanCompleter, len(s.backends))
-	for ch := range s.completers {
-		s.completers[ch] = &chanCompleter{s: s, ch: ch}
-	}
 	s.arena = memreq.NewArena()
 	s.retireFn = s.releaseRetired
 	s.llcProbe = func() bool { return s.probeLLCHit }
@@ -380,24 +338,6 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 	return s, nil
 }
 
-// completerFor returns the completion sink baked into requests headed for
-// channel ch. With parallel backend ticking, completions must be buffered
-// per channel (chanCompleter) and drained at the cycle barrier; with
-// sequential backends (Parallelism <= 1) the System itself is the
-// completer, so delivery runs inline inside the backend tick. The inline
-// order is identical to the buffered drain's: backends tick in channel
-// order, each sub-channel delivers its due completions in pop order (the
-// same order they would have been appended to the buffer), and any request
-// a delivery re-enqueues targets a future arrival cycle (the mesh hop is
-// never zero), so no same-cycle pop can observe it. Set Parallelism before
-// stepping begins; switching with requests in flight is unsupported.
-func (s *System) completerFor(ch int) memreq.Completer {
-	if s.par <= 1 {
-		return s
-	}
-	return s.completers[ch]
-}
-
 // releaseRetired is the retired-drain callback: a request died inside a
 // backend (write CAS with no completer), so release its tracking and
 // return it to the arena.
@@ -409,37 +349,18 @@ func (s *System) releaseRetired(r *memreq.Request) {
 }
 
 // drainRetired releases every request that died inside a backend this
-// cycle. Runs at the cycle barrier after the completion drain (sequential),
-// or after sequential backend ticks in direct-completion mode.
+// cycle. Runs after the backend ticks.
 func (s *System) drainRetired() {
 	for _, rt := range s.retirers {
 		rt.DrainRetired(s.retireFn)
 	}
 }
 
-// SetParallelism sets the tick-phase worker count: cores (and backends)
-// due at a cycle advance on n goroutines between the synchronization
-// points, with all shared-state work drained at the barrier. Results are
-// identical for every n by construction (TestClockingEquivalence covers
-// Parallelism > 1). n <= 1 is sequential. Call Close when done with a
-// parallel system to release its worker goroutines.
-func (s *System) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.par = n
-	if n > 1 && s.pool == nil {
-		s.pool = NewWorkerPool(n - 1)
-	}
-}
-
-// Close releases the worker goroutines of a parallel system. Safe to call
-// on a sequential system and more than once.
-func (s *System) Close() {
-	s.pool.Close()
-	s.pool = nil
-	s.par = 1
-}
+// Close does nothing: a System starts no goroutines and holds nothing
+// that needs releasing.
+//
+// Deprecated: drop the call.
+func (s *System) Close() {}
 
 // SetClocking selects the time-advance strategy; the zero value is
 // EventDriven. Backends that support per-sub-component event skipping
@@ -489,10 +410,11 @@ func (s *System) chOf(addr uint64) int { return s.iv.ChannelOf(addr) }
 // Access implements cpu.Hierarchy: the private L1 -> L2 path for a first
 // access to a line, inline; anything beyond the L2 — LLC, CALM, memory —
 // touches state shared between cores, so it is buffered as a memEvent for
-// the sequential drain at the cycle barrier (accessLLC) and reported
-// Async: the core parks the access in an MSHR and the barrier resolves
-// same-cycle LLC hits before the next cycle begins. Access therefore only
-// mutates per-core state and may run concurrently across cores.
+// the drain after the core tick phase (accessLLC) and reported Async: the
+// core parks the access in an MSHR and the drain resolves same-cycle LLC
+// hits before the next cycle begins. Access therefore only mutates
+// per-core state, and no core's tick sees another's work of the same
+// cycle.
 func (s *System) Access(core int, addr, pc uint64, store bool, now int64) cpu.PathResult {
 	line := memreq.LineAddr(addr)
 
@@ -511,17 +433,16 @@ func (s *System) Access(core int, addr, pc uint64, store bool, now int64) cpu.Pa
 	s.coreEvents[core] = append(s.coreEvents[core], memEvent{
 		kind: evAccess, store: store, line: line, pc: pc, t2: t2,
 	})
-	// The barrier drain will probe this line's LLC home set; start the
-	// host-memory fetch of that (multi-megabyte, rarely cached) way
-	// metadata now so the Lookup there finds it in flight. Touch reads
-	// shared state without mutating it, so it is safe in this (potentially
-	// parallel) phase; the per-core sink keeps the loads observable.
-	s.touchSink[core] += s.llc.Touch(line)
+	// The drain will probe this line's LLC home set; start the host-memory
+	// fetch of that (multi-megabyte, rarely cached) way metadata now so the
+	// Lookup there finds it in flight. Touch reads the set without mutating
+	// it, so it cannot change results.
+	s.touchSink += s.llc.Touch(line)
 	return cpu.PathResult{Async: true}
 }
 
 // accessLLC performs the shared-state half of one buffered access — the
-// CALM decision and the LLC -> memory path — during the sequential drain.
+// CALM decision and the LLC -> memory path — during the core-event drain.
 // It reports whether the access resolved as an LLC hit (the core's MSHR
 // was released, so its cached next event must be recomputed).
 func (s *System) accessLLC(core int, ev *memEvent) bool {
@@ -559,7 +480,7 @@ func (s *System) accessLLC(core int, ev *memEvent) bool {
 			r := s.arena.Alloc()
 			r.Addr, r.Kind, r.Core, r.Host = line, memreq.Read, int16(core), s.hostID
 			r.CALM, r.Discard, r.Issue = true, true, t2
-			r.Ret = s.completerFor(ch)
+			r.Ret = s
 			s.send(r, ch, t2+s.mesh.Latency(s.coreTiles[core], portTile))
 		}
 		if s.measuring {
@@ -575,7 +496,7 @@ func (s *System) accessLLC(core int, ev *memEvent) bool {
 	r := s.arena.Alloc()
 	r.Addr, r.Kind, r.Core, r.Host = line, memreq.Read, int16(core), s.hostID
 	r.CALM, r.Issue = doCALM, t2
-	r.Ret = s.completerFor(ch)
+	r.Ret = s
 	var at int64
 	if doCALM {
 		at = t2 + s.mesh.Latency(s.coreTiles[core], portTile)
@@ -588,11 +509,11 @@ func (s *System) accessLLC(core int, ev *memEvent) bool {
 }
 
 // drainCoreEvents applies the buffered beyond-L2 work in fixed core order
-// (and, per core, in generation order), reproducing exactly the
-// shared-state operation order of a sequential core loop. Cores whose
-// accesses resolved as LLC hits get their cached next event recomputed
-// under event-driven clocking: the resolution freed MSHRs and scheduled
-// ROB completions after the core's own tick computed it.
+// (and, per core, in generation order): the one point of a cycle where the
+// cores' accesses reach shared state. Cores whose accesses resolved as LLC
+// hits get their cached next event recomputed under event-driven clocking:
+// the resolution freed MSHRs and scheduled ROB completions after the
+// core's own tick computed it.
 func (s *System) drainCoreEvents(event bool) {
 	for i := range s.coreEvents {
 		evs := s.coreEvents[i]
@@ -614,42 +535,6 @@ func (s *System) drainCoreEvents(event bool) {
 			// the post-drain state.
 			s.coreNext[i] = s.cores[i].NextEvent(s.now)
 		}
-	}
-}
-
-// drainCompletions delivers the completions buffered during the backend
-// tick phase, in backend order.
-func (s *System) drainCompletions() {
-	// Direct-completion mode (sequential backends) never routes through
-	// doneBuf — backends call Complete inline — so there is nothing to
-	// scan. See completerFor.
-	if s.par <= 1 {
-		return
-	}
-	// Pre-touch the way metadata each buffered read fill is about to hit
-	// (LLC home set and the core's L2 set) so the misses on those
-	// multi-megabyte arrays overlap instead of serializing through the
-	// order-sensitive Complete calls below (same technique as prefillLLC).
-	var sink uint64
-	for ch := range s.doneBuf {
-		for k := range s.doneBuf[ch] {
-			r := s.doneBuf[ch][k].r
-			if r.Kind == memreq.Read && !r.Discard {
-				line := memreq.LineAddr(r.Addr)
-				sink += s.llc.Touch(line) + s.l2[int(r.Core)].Touch(line)
-			}
-		}
-	}
-	s.touchSink[0] += sink
-	for ch := range s.doneBuf {
-		buf := s.doneBuf[ch]
-		if len(buf) == 0 {
-			continue
-		}
-		for k := range buf {
-			s.Complete(buf[k].r, buf[k].at)
-		}
-		s.doneBuf[ch] = buf[:0]
 	}
 }
 
@@ -722,8 +607,8 @@ func (s *System) installPrivate(core int, line uint64, dirty bool, now int64) {
 }
 
 // installL1 fills L1; its dirty victims land in the L2 (which may in turn
-// displace a victim to the LLC; timestamps use the current tick). Only
-// safe in the sequential drain phases, where the LLC may be touched.
+// displace a victim to the LLC; timestamps use the current tick). Not for
+// the core tick phase, which leaves the LLC to the drain.
 func (s *System) installL1(core int, line uint64, dirty bool) {
 	if v := s.l1[core].Fill(line, dirty); v.Valid && v.Dirty {
 		if v2 := s.l2[core].Fill(v.Addr, true); v2.Valid && v2.Dirty {
@@ -732,9 +617,9 @@ func (s *System) installL1(core int, line uint64, dirty bool) {
 	}
 }
 
-// installL1Buffered is installL1 for the (potentially parallel) core tick
-// phase: a dirty L2 victim is buffered for the barrier drain instead of
-// being written to the shared LLC inline.
+// installL1Buffered is installL1 for the core tick phase: a dirty L2
+// victim is buffered for the drain instead of being written to the shared
+// LLC inline.
 func (s *System) installL1Buffered(core int, line uint64, dirty bool) {
 	if v := s.l1[core].Fill(line, dirty); v.Valid && v.Dirty {
 		if v2 := s.l2[core].Fill(v.Addr, true); v2.Valid && v2.Dirty {
@@ -782,9 +667,6 @@ func (s *System) wakeBackend(ch int, at int64) {
 }
 
 // send enqueues a request, spilling to the retry queue on backpressure.
-// It runs only in the sequential drain phases (accessLLC, writeback,
-// Complete all execute at the cycle barrier), so the lifecycle hook needs
-// no locking.
 func (s *System) send(r *memreq.Request, ch int, at int64) {
 	if s.val != nil {
 		s.val.lc.OnIssue(r, at) //lint:alloc validation hook; allocates only when recording an invariant failure
@@ -835,60 +717,27 @@ func (s *System) flushOne(qp *[]spillItem, ch int, now int64) {
 }
 
 // step advances the whole system one cycle (CycleByCycle mode). The cycle
-// is phased: core ticks (parallelizable — cores touch only private state,
-// buffering beyond-L2 work), core-event drain and spill retry at the
-// barrier, backend ticks (parallelizable — channels touch only their own
-// state, buffering completions), completion drain at the barrier.
+// is phased: core ticks, the core-event drain and spill retry, backend
+// ticks, the retired drain. Cores touch only private state during their
+// tick, buffering beyond-L2 work that the drain applies in core order, so
+// LLC lookups, CALM decisions and sends happen after every core ticked.
+// Backends deliver completions inline, calling Complete from inside their
+// Tick, in a fixed order: backends tick in channel order, each sub-channel
+// delivers its due completions in pop order, and any request a delivery
+// enqueues (a write-back) targets a future arrival cycle — the mesh hop is
+// never zero — so no same-cycle pop can observe it.
 func (s *System) step() {
 	s.now++
 	now := s.now
-	if s.par > 1 && len(s.cores) > 1 {
-		s.tickCoresPar(now)
-	} else {
-		for _, c := range s.cores {
-			c.Tick(now)
-		}
+	for _, c := range s.cores {
+		c.Tick(now)
 	}
 	s.drainCoreEvents(false)
 	s.flushSpill(now)
-	if s.par > 1 && len(s.backends) > 1 {
-		s.tickBackendsPar(now)
-	} else {
-		for _, b := range s.backends {
-			b.Tick(now)
-		}
+	for _, b := range s.backends {
+		b.Tick(now)
 	}
-	s.drainCompletions()
 	s.drainRetired()
-}
-
-// tickCoresPar / tickBackendsPar / tickDueCoresPar / tickDueBackendsPar
-// hold the parallel tick phases in their own frames so the sequential
-// paths pay no closure-capture allocations.
-func (s *System) tickCoresPar(now int64) {
-	s.pool.Run(len(s.cores), func(i int) { s.cores[i].Tick(now) })
-}
-
-func (s *System) tickBackendsPar(now int64) {
-	s.pool.Run(len(s.backends), func(ch int) { s.backends[ch].Tick(now) })
-}
-
-func (s *System) tickDueCoresPar(due []int, next int64) {
-	s.pool.Run(len(due), func(k int) {
-		i := due[k]
-		s.cores[i].Tick(next)
-		if len(s.coreEvents[i]) == 0 {
-			s.coreNext[i] = s.cores[i].NextEvent(next)
-		}
-	})
-}
-
-func (s *System) tickDueBackendsPar(due []int, next int64) {
-	s.pool.Run(len(due), func(k int) {
-		ch := due[k]
-		s.backends[ch].Tick(next)
-		s.backendNext[ch] = s.backends[ch].NextEvent(next)
-	})
 }
 
 // stepEvent advances the clock to the earliest cached component event (at
@@ -897,7 +746,7 @@ func (s *System) tickDueBackendsPar(due []int, next int64) {
 // jump, so skipping their ticks — and the whole-system cycles where nobody
 // is due — leaves simulated behaviour bit-identical to step(). Phase order
 // within the chosen cycle matches step(): cores, core-event drain, spill
-// retry, backends, completion drain. While any spill queue is non-empty
+// retry, backends, retired drain. While any spill queue is non-empty
 // the jump degrades to a single cycle, because spill retry timing depends
 // on backend dequeues the caches can't see.
 func (s *System) stepEvent(limit int64) {
@@ -944,16 +793,12 @@ func (s *System) tickEventCycle(next int64) {
 	}
 	s.dueCores = due
 	// Cores that buffered beyond-L2 work this tick get their NextEvent
-	// computed after the drain instead (the barrier may resolve their
+	// computed after the drain instead (the drain may resolve their
 	// accesses, freeing MSHRs); computing it here too would be wasted.
-	if s.par > 1 && len(due) > 1 {
-		s.tickDueCoresPar(due, next)
-	} else {
-		for _, i := range due {
-			s.cores[i].Tick(next)
-			if len(s.coreEvents[i]) == 0 {
-				s.coreNext[i] = s.cores[i].NextEvent(next)
-			}
+	for _, i := range due {
+		s.cores[i].Tick(next)
+		if len(s.coreEvents[i]) == 0 {
+			s.coreNext[i] = s.cores[i].NextEvent(next)
 		}
 	}
 	s.drainCoreEvents(true)
@@ -966,15 +811,10 @@ func (s *System) tickEventCycle(next int64) {
 		}
 	}
 	s.dueBackends = due
-	if s.par > 1 && len(due) > 1 {
-		s.tickDueBackendsPar(due, next)
-	} else {
-		for _, ch := range due {
-			s.backends[ch].Tick(next)
-			s.backendNext[ch] = s.backends[ch].NextEvent(next)
-		}
+	for _, ch := range due {
+		s.backends[ch].Tick(next)
+		s.backendNext[ch] = s.backends[ch].NextEvent(next)
 	}
-	s.drainCompletions()
 	// Only ticked backends can have buffered retired requests this cycle.
 	for _, ch := range s.dueBackends {
 		if rt := s.retirerOf[ch]; rt != nil {
@@ -1071,12 +911,8 @@ func (s *System) prefillLLC(hints []trace.Params, seed uint64) {
 			}
 		}
 	}
-	prefillTouchSink = sink
+	s.touchSink += sink
 }
-
-// prefillTouchSink keeps prefillLLC's set pre-touch loads observable so the
-// compiler cannot elide them.
-var prefillTouchSink uint64
 
 func minf(a, b float64) float64 {
 	if a < b {

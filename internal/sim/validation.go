@@ -20,9 +20,9 @@ type validation struct {
 }
 
 // EnableValidation attaches the differential validation harness. Call
-// before the first tick; idempotent. Oracles are per-sub-channel with
-// private state, so they are safe under parallel backend ticking; the
-// lifecycle checker only observes the sequential drain phases.
+// before the first tick; idempotent. Oracles are per-sub-channel and the
+// lifecycle checker per System, so hosts a rack ticks in parallel share
+// neither.
 //
 // The harness is observation-only: it never mutates requests or
 // schedulers, so a validated run is bit-identical to an unvalidated one.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"coaxial/internal/memreq"
@@ -35,11 +36,14 @@ func saveOracleReport(t *testing.T, err error) {
 // TestValidationSuite is the harness's acceptance matrix: the DDR timing
 // oracle and the lifecycle checker must report zero violations across the
 // default configuration suite (direct DDR, COAXIAL-4x, CXL-pooled) under
-// both clocking modes, sequential and parallel ticking, on a paper
-// workload mix and the mixed-MPKI rack workload, plus very short windows
-// over another mix, whose ends land mid-burst: a core a completion wakes
-// at the final cycle must not dispatch there (Core.Sync), or its L2 miss
-// holds an MSHR no in-flight read matches.
+// both clocking modes, on a paper workload mix and the mixed-MPKI rack
+// workload, plus very short windows over another mix, whose ends land
+// mid-burst: a core a completion wakes at the final cycle must not
+// dispatch there (Core.Sync), or its L2 miss holds an MSHR no in-flight
+// read matches. The parN leg runs N Systems of the point concurrently —
+// the parallelism a host gets, across points (RunSuite workers, the
+// daemon) — and requires identical results; under -race it shows that
+// Systems share no state.
 func TestValidationSuite(t *testing.T) {
 	configs := []Config{Baseline(), Coaxial4x(), CoaxialPooled()}
 	loads := []struct {
@@ -70,16 +74,32 @@ func TestValidationSuite(t *testing.T) {
 							MeasureInstr:          ld.meas,
 							Seed:                  ld.seed,
 							Clocking:              mode.m,
-							Parallelism:           par,
 							Validate:              true,
 						}
-						res, err := RunMix(cfg, wl, rc)
-						if err != nil {
-							saveOracleReport(t, err)
-							t.Fatalf("validated run failed: %v", err)
+						res := make([]Result, par)
+						errs := make([]error, par)
+						var wg sync.WaitGroup
+						for k := range res {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								res[k], errs[k] = RunMix(cfg, wl, rc)
+							}()
 						}
-						if res.Retired == 0 {
+						wg.Wait()
+						for k, err := range errs {
+							if err != nil {
+								saveOracleReport(t, err)
+								t.Fatalf("validated run %d failed: %v", k, err)
+							}
+						}
+						if res[0].Retired == 0 {
 							t.Error("validated run retired no instructions")
+						}
+						for k := 1; k < par; k++ {
+							if !reflect.DeepEqual(res[0], res[k]) {
+								t.Errorf("concurrent run %d diverges from run 0\nrun 0: %+v\nrun %d: %+v", k, res[0], k, res[k])
+							}
 						}
 					})
 				}

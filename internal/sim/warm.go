@@ -136,17 +136,16 @@ func RunMixWarm(ctx context.Context, cfg Config, ws *WarmState, rc RunConfig) (R
 	if err != nil {
 		return Result{}, err
 	}
-	defer sys.Close()
 	return sys.timedPhases(ctx, mixLabel(ws.workloads), rc)
 }
 
 // NewWarmSystem rebuilds a ready-to-measure System from a warm snapshot:
 // generators cloned at their post-warmup positions, caches cloned from the
-// capture, clocking/parallelism/validation applied per rc. hp injects the
-// host's topology placement — its address offset must match the capture
+// capture, clocking and validation applied per rc. hp injects the host's
+// topology placement — its address offset must match the capture
 // (hostFingerprint), and hp.Backends wires shared pooled-device ports. The
-// caller owns the system (Close it when done) and drives the timed phases
-// itself; RunMixWarm is the single-host convenience wrapper.
+// caller drives the timed phases itself; RunMixWarm is the single-host
+// convenience wrapper.
 func NewWarmSystem(cfg Config, ws *WarmState, rc RunConfig, hp HostParams) (*System, error) {
 	if rc.SkipFunctional {
 		return nil, fmt.Errorf("sim: warm run with SkipFunctional set")

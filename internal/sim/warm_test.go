@@ -90,24 +90,3 @@ func TestRunCancellation(t *testing.T) {
 		t.Errorf("partial result not populated: %+v", res)
 	}
 }
-
-// TestParallelTickRace drives the parallel tick phases on a loaded
-// multi-core system in both clocking modes. Its real assertions are the
-// race detector's: CI runs it under -race to prove the core and backend
-// tick phases share no unsynchronized state.
-func TestParallelTickRace(t *testing.T) {
-	workloads := trace.Mix(1, 12)
-	rc := RunConfig{
-		FunctionalWarmupInstr: 20_000,
-		WarmupInstr:           1_000,
-		MeasureInstr:          4_000,
-		Seed:                  2,
-		Parallelism:           4,
-	}
-	for _, mode := range []Clocking{EventDriven, CycleByCycle} {
-		rc.Clocking = mode
-		if _, err := RunMix(Coaxial4x(), workloads, rc); err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-	}
-}

@@ -68,12 +68,13 @@ func WithClocking(m Clocking) RunnerOption {
 	return func(r *Runner) { r.rc.Clocking = m }
 }
 
-// WithParallelism sets the intra-system tick-phase worker count: cores and
-// memory backends due at a cycle tick on n goroutines between the cycle's
-// synchronization points. Results are bit-identical for every n; n <= 1
-// ticks sequentially.
+// WithParallelism does nothing: a host always ticks on its caller's
+// goroutine.
+//
+// Deprecated: drop the option. WithWorkers runs points in parallel and
+// WithRackParallelism ticks a rack's hosts in parallel.
 func WithParallelism(n int) RunnerOption {
-	return func(r *Runner) { r.rc.Parallelism = n }
+	return func(*Runner) {}
 }
 
 // WithWindows sets the simulation windows, per core: the timing-free

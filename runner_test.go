@@ -20,7 +20,6 @@ func ExampleRunner() {
 	r := coaxial.NewRunner(
 		coaxial.WithSeed(1),
 		coaxial.WithWindows(50_000, 5_000, 20_000),
-		coaxial.WithParallelism(2),
 	)
 	w, err := coaxial.WorkloadByName("stream-copy")
 	if err != nil {
