@@ -272,45 +272,37 @@ func BenchmarkRunWindowPooled(b *testing.B) {
 
 // BenchmarkRunWindowRack measures the rack-scale experiment window: a
 // 2-host CXL-pooled rack (hosts contending for 2 shared pool devices)
-// running staggered mixed-MPKI rack workloads in lockstep, with the host
-// phase on 2 goroutines (rack2h) and on the caller's goroutine
-// (rack2h-seq), so the rack worker pool's cost or gain stays measured.
-// Event-vs-cycle is reported for both modes so the rack loop's dead-cycle
-// profile is tracked alongside the single-host windows. Windows run warm
-// through a shared Runner (per-host snapshots are memoized under
-// topology-distinct warm keys).
+// running staggered mixed-MPKI rack workloads in lockstep. Event-vs-cycle
+// is reported for both modes so the rack loop's dead-cycle profile is
+// tracked alongside the single-host windows. Windows run warm through a
+// shared Runner (per-host snapshots are memoized under topology-distinct
+// warm keys).
 func BenchmarkRunWindowRack(b *testing.B) {
 	cfg := TopologyCoaxialPooled(2).Rack
 	wls := [][]Workload{RackMixWorkloads(0, 12), RackMixWorkloads(1, 12)}
-	for _, leg := range []struct {
-		name    string
-		workers int
-	}{{"rack2h", 2}, {"rack2h-seq", 1}} {
-		for _, mode := range []struct {
-			name string
-			m    Clocking
-		}{{"event", EventDriven}, {"cycle", CycleByCycle}} {
-			b.Run(leg.name+"/"+mode.name, func(b *testing.B) {
-				r := NewRunner(
-					WithSeed(1),
-					WithWindows(100_000, 5_000, 60_000),
-					WithClocking(mode.m),
-					WithRackParallelism(leg.workers),
-				)
-				ctx := context.Background()
-				// Prime the per-host warm snapshots outside the timed region.
+	for _, mode := range []struct {
+		name string
+		m    Clocking
+	}{{"event", EventDriven}, {"cycle", CycleByCycle}} {
+		b.Run("rack2h/"+mode.name, func(b *testing.B) {
+			r := NewRunner(
+				WithSeed(1),
+				WithWindows(100_000, 5_000, 60_000),
+				WithClocking(mode.m),
+			)
+			ctx := context.Background()
+			// Prime the per-host warm snapshots outside the timed region.
+			if _, err := r.RunRack(ctx, cfg, wls); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := r.RunRack(ctx, cfg, wls); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := r.RunRack(ctx, cfg, wls); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

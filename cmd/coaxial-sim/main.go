@@ -39,7 +39,6 @@ func main() {
 		calmR    = flag.Float64("calm-r", 0.70, "CALM_R threshold (with -calm calm-r)")
 		calmKind = flag.String("calm", "", "CALM override: off, calm-r, map-i, ideal")
 		cxlNS    = flag.Float64("cxl-premium", 0, "CXL total latency premium in ns (0 = default 50)")
-		rackPar  = flag.Int("rack-parallelism", 0, "host-phase goroutines across the rack (<=1 = sequential; results identical)")
 		clocking = flag.String("clocking", "event", "clock advance: event (skip dead cycles) or cycle (reference loop); results are identical")
 		validate = flag.Bool("validate", false, "run the differential validation harness (DDR timing oracle + lifecycle invariants); observation-only")
 		sampleD  = flag.Uint64("sample-detail", 0, "sampled simulation: detailed-window instructions per core (with -sample-ff)")
@@ -109,7 +108,6 @@ func main() {
 		coaxial.WithSeed(*seed),
 		coaxial.WithWindows(0, *warmup, *measure),
 		coaxial.WithClocking(mode),
-		coaxial.WithRackParallelism(*rackPar),
 	}
 	if *validate {
 		opts = append(opts, coaxial.WithValidation())

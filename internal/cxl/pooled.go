@@ -18,16 +18,15 @@ import (
 // One cycle of a channel runs: (1) deliver due responses, (2) admit due
 // ingress onto the TX link, (3) retry device-stalled requests, (4) drain
 // link arrivals into the DDR controllers, (5) tick the DDR channels.
-// Port.Tick runs steps 1–2 (host-side state only, so hosts tick in
-// parallel race-free); TickDevice runs steps 3–5, visiting ports in fixed
-// attach order. Channel.Tick runs Port.Tick then TickDevice. A rack
-// instead runs every host's port ticks, then every device — with a single
-// port that interleaving across channels is immaterial: steps 1–2 never
-// read device state, steps 3–5 never read host-side state, and every
-// cross-step handoff (a response scheduled in step 5 via Port.Complete, an
-// arrival pushed in step 2) targets a strictly future cycle. So a one-host
-// rack is bit-identical to the equivalent single-System run
-// (TestRackClockingEquivalence).
+// Port.Tick runs steps 1–2 (host-side state only); TickDevice runs steps
+// 3–5, visiting ports in fixed attach order. Channel.Tick runs Port.Tick
+// then TickDevice. A rack instead runs every host's port ticks, then every
+// device — with a single port that interleaving across channels is
+// immaterial: steps 1–2 never read device state, steps 3–5 never read
+// host-side state, and every cross-step handoff (a response scheduled in
+// step 5 via Port.Complete, an arrival pushed in step 2) targets a
+// strictly future cycle. So a one-host rack is bit-identical to the
+// equivalent single-System run (TestRackClockingEquivalence).
 
 // PooledDeviceConfig describes one shared type-3 pool device.
 type PooledDeviceConfig struct {
@@ -41,9 +40,9 @@ type PooledDeviceConfig struct {
 
 // PooledDevice is a type-3 memory pool shared by several hosts: a set of
 // DDR channels fed by per-host Ports. All device-side state advances only
-// inside TickDevice, which the rack driver calls once per cycle from a
-// single goroutine, in fixed device order — the deterministic coupling
-// point between hosts.
+// inside TickDevice, which the rack driver calls once per cycle, after
+// every host and in fixed device order — the deterministic coupling point
+// between hosts.
 type PooledDevice struct {
 	cfg   PooledDeviceConfig
 	ddr   []*dram.Channel
@@ -277,12 +276,11 @@ type waiting struct {
 // counters, retired-write collection, validation walks), so a sim.System
 // embeds it exactly like any other memory backend.
 //
-// Concurrency contract: Enqueue, Tick, NextEvent, and the response
-// deliveries inside Tick touch only port-local state, so the owning host
-// may tick on its own goroutine during the parallel host phase. deviceQ,
-// stalled, outstanding, and stats are written by the device phase
-// (TickDevice) and by Enqueue/Tick — never concurrently, because the rack
-// driver separates the phases with barriers.
+// Phase contract: Enqueue, Tick, NextEvent, and the response deliveries
+// inside Tick touch only port-local state (the rack's host phase).
+// deviceQ, stalled, outstanding, and stats are written by the device phase
+// (TickDevice) and by Enqueue/Tick, which the rack driver runs as separate
+// phases of one cycle.
 type Port struct {
 	dev          *PooledDevice
 	host         int
@@ -311,9 +309,9 @@ type Port struct {
 	responses memreq.TimedHeap
 
 	// outstanding counts requests admitted but not yet accepted by a DDR
-	// controller. Enqueue (host phase) increments; the device phase
-	// decrements. Never concurrently: admission decisions only read it in
-	// the host phase.
+	// controller. Enqueue (host phase) increments and admits against it;
+	// the device phase decrements, so a credit it frees is visible to the
+	// very next cycle's host phase.
 	outstanding int
 
 	// retired buffers writes that died inside the device (committed with

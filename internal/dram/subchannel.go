@@ -252,9 +252,7 @@ func (s *SubChannel) SetCommandTrace(fn func(Command)) { s.cmdTrace = fn }
 
 // CommandObserver receives every command the scheduler puts on the command
 // bus, in issue order. Implementations must not mutate the sub-channel;
-// they are invoked synchronously from Tick, which under parallel phased
-// ticking runs on a per-backend goroutine — observers therefore must not
-// share mutable state across sub-channels.
+// they are invoked synchronously from Tick.
 type CommandObserver interface {
 	OnCommand(Command)
 }

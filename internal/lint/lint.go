@@ -7,9 +7,9 @@ import (
 	"coaxial/internal/lint/loader"
 )
 
-// HotPathPackages are the packages the determinism and phase-isolation
-// analyzers guard: everything a simulated cycle executes. Reporting and CLI
-// code may read the wall clock; these packages may not.
+// HotPathPackages are the packages the determinism analyzer guards:
+// everything a simulated cycle executes. Reporting and CLI code may read
+// the wall clock; these packages may not.
 var HotPathPackages = []string{
 	"coaxial/internal/sim",
 	"coaxial/internal/cpu",
@@ -51,9 +51,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		NewPurity(),
 		NewDeterminism(HotPathPackages),
-		NewPhaseIsolation(HotPathPackages, []string{
-			"coaxial/internal/rack.workerPool.Run",
-		}),
 		NewCounters(CounterConfig{
 			CounterTypes: []string{
 				"coaxial/internal/stats.Histogram",

@@ -12,13 +12,13 @@ import (
 // every function and method in a module package, whether its body provably
 // writes nothing: no assignment, increment, send, or mutating builtin
 // whose target is anything but a plain local identifier, and no call to a
-// function that is not itself write-free. Later analyzers (phaseiso,
-// observers) use the fact to allow calls like (*memreq.Request).QueueDelay
-// from contexts where mutation is forbidden.
+// function that is not itself write-free. The observers analyzer uses the
+// fact to allow calls like (*memreq.Request).QueueDelay from contexts
+// where mutation is forbidden.
 //
 // Calls outside the module (the standard library) are assumed write-free:
-// observers and phase workers have no business handing simulator state to
-// the stdlib for mutation, and flagging fmt.Sprintf would drown the signal.
+// observers have no business handing simulator state to the stdlib for
+// mutation, and flagging fmt.Sprintf would drown the signal.
 const writeFreeFact = "writeFree"
 
 // NewPurity returns the facts-only pass computing writeFree for every
@@ -27,7 +27,7 @@ const writeFreeFact = "writeFree"
 func NewPurity() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name:      "purity",
-		Doc:       "computes write-free facts consumed by phaseiso and observers",
+		Doc:       "computes write-free facts consumed by observers",
 		FactsOnly: true,
 	}
 	a.Run = runPurity

@@ -11,9 +11,9 @@
 //	next    = min over hosts of NextEventBound(limit),
 //	          min over devices of NextEvent(now)      (event clocking)
 //	next    = now + 1                                 (cycle clocking)
-//	phase H — every host TickCycle(next); parallel across
-//	          RackParallelism goroutines (host-private state only:
-//	          a port's ingress/response heaps are host-side)
+//	phase H — every host TickCycle(next); sequential, host order
+//	          (host-private state only: a port's ingress/response
+//	          heaps are host-side)
 //	phase D — every pooled device TickDevice(next); sequential, fixed
 //	          device order, each device serving its ports in fixed
 //	          attach order (= host order)
@@ -23,8 +23,8 @@
 //	          that retired inside the devices
 //
 // Phases touch disjoint state, so results are bit-identical across
-// RackParallelism × clocking, and a 1-host rack reproduces the equivalent
-// single-System run exactly (TestRackClockingEquivalence).
+// clocking, and a 1-host rack reproduces the equivalent single-System run
+// exactly (TestRackClockingEquivalence).
 package rack
 
 import (
@@ -183,7 +183,6 @@ func RunFrom(ctx context.Context, cfg Config, workloads [][]trace.Workload, rc s
 	if err != nil {
 		return Result{}, err
 	}
-	defer rk.pool.Close()
 	var res Result
 	err = sim.RunWindows(ctx, rk, "rack: "+cfg.Name, rc, func() { res = rk.collect(workloads) })
 	return res, err
@@ -196,7 +195,6 @@ type rack struct {
 	hosts    []*sim.System
 	ports    [][]*cxl.Port // per host, in channel order; nil when unpooled
 	devices  []*cxl.PooledDevice
-	pool     *workerPool
 	clocking sim.Clocking
 	validate bool
 	oracles  []*validate.Oracle
@@ -247,9 +245,6 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 		}
 		rk.hosts = append(rk.hosts, sys)
 		rk.ports = append(rk.ports, ports)
-	}
-	if rc.RackParallelism > 1 && len(rk.hosts) > 1 {
-		rk.pool = newWorkerPool(rc.RackParallelism - 1)
 	}
 	if rc.Validate {
 		rk.wireValidation()
@@ -345,17 +340,10 @@ func (rk *rack) Step(limit int64) (int64, bool) {
 		}
 	}
 
-	// Phase H: hosts advance to `next`, each touching only host-private
-	// state (port ingress/response heaps are host-side). Parallel across
-	// the rack pool; bit-identical at any worker count because hosts
-	// share nothing within the phase.
-	if rk.pool != nil {
-		hosts := rk.hosts
-		rk.pool.Run(len(hosts), func(i int) { hosts[i].TickCycle(next) })
-	} else {
-		for _, s := range rk.hosts {
-			s.TickCycle(next)
-		}
+	// Phase H: hosts advance to `next` in host order, each touching only
+	// host-private state (port ingress/response heaps are host-side).
+	for _, s := range rk.hosts {
+		s.TickCycle(next)
 	}
 
 	// Phase D: shared devices, sequential, fixed device order; each

@@ -2,6 +2,7 @@ package rack
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -85,26 +86,30 @@ func TestRackValidationClean(t *testing.T) {
 	}
 }
 
-// TestRackParallelTickRace exercises the rack worker pool under the race
-// detector: phase H must touch only host-private state.
-func TestRackParallelTickRace(t *testing.T) {
-	rc := testRC()
-	rc.RackParallelism = 4
-	wls := make([][]trace.Workload, 4)
-	for h := range wls {
-		wls[h] = trace.RackMix(h, 12)
-	}
-	seqRC := rc
-	seqRC.RackParallelism = 1
-	par, err := Run(context.Background(), pooledRack(4), wls, rc)
-	if err != nil {
-		t.Fatalf("parallel rack run: %v", err)
-	}
-	seq, err := Run(context.Background(), pooledRack(4), wls, seqRC)
-	if err != nil {
-		t.Fatalf("sequential rack run: %v", err)
-	}
-	if !reflect.DeepEqual(par, seq) {
-		t.Errorf("rack results diverge across RackParallelism:\npar: %+v\nseq: %+v", par, seq)
+// TestRackStepAllocFree extends sim's TestStepAllocFree to the rack: once
+// a 2-host pooled rack is warm, a lockstep Step (all three phases)
+// allocates nothing, under both clockings.
+func TestRackStepAllocFree(t *testing.T) {
+	wls := [][]trace.Workload{trace.RackMix(0, 12), trace.RackMix(1, 12)}
+	for _, mode := range []struct {
+		name string
+		m    sim.Clocking
+	}{{"event", sim.EventDriven}, {"cycle", sim.CycleByCycle}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rc := testRC()
+			rc.Clocking = mode.m
+			rk, err := build(pooledRack(2), wls, rc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rk.SetTarget(math.MaxUint64)
+			limit := rk.Now() + 1<<40
+			for i := 0; i < 20_000; i++ {
+				rk.Step(limit)
+			}
+			if allocs := testing.AllocsPerRun(2_000, func() { rk.Step(limit) }); allocs != 0 {
+				t.Errorf("warm rack Step allocated %v objects per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -118,9 +118,7 @@ func (g *group) do(ctx context.Context, key string, onProgress func(coaxial.Prog
 	return c.out, c.err
 }
 
-// exec runs the flight body and publishes its outcome. Named method —
-// never a goroutine literal — so coaxlint's phaseiso checker applies its
-// spawner discipline, not an exemption.
+// exec runs the flight body and publishes its outcome.
 func (g *group) exec(key string, c *call, ctx context.Context, run runFunc) {
 	out, err := run(ctx, c.broadcast)
 	g.mu.Lock()

@@ -39,9 +39,7 @@ func (s *Server) Submit(req JobRequest) (string, error) {
 	return j.id, nil
 }
 
-// worker is one pool goroutine: it drains the queue until Shutdown closes
-// it. Named method, so the phaseiso checker sees a spawner, not an
-// anonymous goroutine mutating shared state.
+// worker is one pool goroutine: it drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {

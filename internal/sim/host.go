@@ -17,18 +17,18 @@ import (
 //	next := min over hosts of NextEventBound(limit),
 //	        min over pooled devices of NextEvent(now)   (event mode)
 //	next := now + 1                                     (cycle mode)
-//	phase H: every host TickCycle(next)        — parallelizable per host
+//	phase H: every host TickCycle(next)        — sequential, host order
 //	phase D: every pooled device TickDevice(next) — sequential, fixed order
 //	phase E: per host, in host order:
 //	         WakeBackendAt(ch, port.NextEvent(next)) for every port channel
 //	         DrainRetiredNow()
 //
 // Phase H touches only host-private state (port ingress/response heaps are
-// host-side), phase D only device state, so the phases need no finer
-// locking; phase E re-arms each host's cached backend bounds after the
-// device phase scheduled new response deliveries (wakes only clamp down,
-// and phase D can only add events, so clamping is sufficient) and releases
-// writes that retired inside the devices.
+// host-side), phase D only device state, so no host sees another's updates
+// within a phase; phase E re-arms each host's cached backend bounds after
+// the device phase scheduled new response deliveries (wakes only clamp
+// down, and phase D can only add events, so clamping is sufficient) and
+// releases writes that retired inside the devices.
 
 // Now returns the host's current cycle.
 func (s *System) Now() int64 { return s.now }

@@ -60,11 +60,6 @@ type RunConfig struct {
 	// rack sweeps never alias warm-state cache entries across host counts
 	// or host positions; rack drivers set it per host (see rack.HostRunConfig).
 	Topology string
-	// RackParallelism is the rack-level host-shard worker count: hosts
-	// tick on this many goroutines between rack phases. Results are
-	// bit-identical for every value; <= 1 ticks hosts sequentially. Unused
-	// by single-host runs: a host always ticks on one goroutine.
-	RackParallelism int
 	// OnProgress, when non-nil, observes phase progress at the
 	// cancellation-poll boundaries of the run loop (every ctxCheckCycles
 	// simulated cycles) and once at each phase end; rack runs report

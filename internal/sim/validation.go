@@ -21,8 +21,7 @@ type validation struct {
 
 // EnableValidation attaches the differential validation harness. Call
 // before the first tick; idempotent. Oracles are per-sub-channel and the
-// lifecycle checker per System, so hosts a rack ticks in parallel share
-// neither.
+// lifecycle checker per System, so the hosts of a rack share neither.
 //
 // The harness is observation-only: it never mutates requests or
 // schedulers, so a validated run is bit-identical to an unvalidated one.

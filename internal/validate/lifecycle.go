@@ -17,9 +17,8 @@ const maxLifecycleErrors = 16
 // through the pipeline, the latency breakdown never exceeds the
 // end-to-end latency, and nothing leaks at window end.
 //
-// The checker observes requests only at the sequential phases of the tick
-// loop (send and Complete both run outside the parallel backend phase),
-// so it needs no locking.
+// The checker observes requests from its System's tick loop (send and
+// Complete), which runs on one goroutine, so it needs no locking.
 type Lifecycle struct {
 	//lint:owns tracking keys only; entries are deleted on completion/retire, never dereferenced after release
 	reads map[*memreq.Request]struct{}

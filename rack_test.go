@@ -34,10 +34,9 @@ func rateWorkloads(cfg coaxial.RackConfig, w coaxial.Workload) [][]coaxial.Workl
 }
 
 // TestRackClockingEquivalence is the rack determinism pin: a 4-host
-// pooled rack must be bit-identical across RackParallelism {1, 4} ×
-// {event, cycle} clocking, and a 1-host rack must reproduce the
-// equivalent single-System run (itself pinned by the golden tests)
-// exactly.
+// pooled rack must be bit-identical across {event, cycle} clocking, and a
+// 1-host rack must reproduce the equivalent single-System run (itself
+// pinned by the golden tests) exactly.
 func TestRackClockingEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rack equivalence matrix in -short mode")
@@ -50,29 +49,19 @@ func TestRackClockingEquivalence(t *testing.T) {
 	base := rackRC()
 
 	var ref coaxial.RackResult
-	for i, v := range []struct {
-		clocking coaxial.Clocking
-		rackPar  int
-	}{
-		{coaxial.EventDriven, 1},
-		{coaxial.EventDriven, 4},
-		{coaxial.CycleByCycle, 1},
-		{coaxial.CycleByCycle, 4},
-	} {
+	for i, clocking := range []coaxial.Clocking{coaxial.EventDriven, coaxial.CycleByCycle} {
 		rc := base
-		rc.Clocking = v.clocking
-		rc.RackParallelism = v.rackPar
+		rc.Clocking = clocking
 		rr, err := coaxial.NewRunner(coaxial.WithRunConfig(rc)).RunRack(context.Background(), preset.Rack, wls)
 		if err != nil {
-			t.Fatalf("clocking %v, rack-parallelism %d: %v", v.clocking, v.rackPar, err)
+			t.Fatalf("clocking %v: %v", clocking, err)
 		}
 		if i == 0 {
 			ref = rr
 			continue
 		}
 		if !reflect.DeepEqual(ref, rr) {
-			t.Errorf("clocking %v, rack-parallelism %d diverges from reference:\nref: %+v\ngot: %+v",
-				v.clocking, v.rackPar, ref, rr)
+			t.Errorf("clocking %v diverges from reference:\nref: %+v\ngot: %+v", clocking, ref, rr)
 		}
 	}
 

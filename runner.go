@@ -71,8 +71,7 @@ func WithClocking(m Clocking) RunnerOption {
 // WithParallelism does nothing: a host always ticks on its caller's
 // goroutine.
 //
-// Deprecated: drop the option. WithWorkers runs points in parallel and
-// WithRackParallelism ticks a rack's hosts in parallel.
+// Deprecated: drop the option. WithWorkers runs points in parallel.
 func WithParallelism(n int) RunnerOption {
 	return func(*Runner) {}
 }
@@ -120,12 +119,12 @@ func WithSampling(detail, fastfwd uint64) RunnerOption {
 	}
 }
 
-// WithRackParallelism sets the rack-level host-phase worker count for
-// RunRack: hosts due at a lockstep tick advance on n goroutines between
-// the rack's phase barriers. Results are bit-identical for every n
-// (TestRackClockingEquivalence); n <= 1 ticks hosts sequentially.
+// WithRackParallelism does nothing: a rack always ticks its hosts in host
+// order on its caller's goroutine.
+//
+// Deprecated: drop the option. WithWorkers runs points in parallel.
 func WithRackParallelism(n int) RunnerOption {
-	return func(r *Runner) { r.rc.RackParallelism = n }
+	return func(*Runner) {}
 }
 
 // WithRunConfig replaces the whole run configuration (escape hatch for
