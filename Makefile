@@ -52,8 +52,10 @@ lint-baseline:
 # catch: each suite plants real bugs (dimension slips, dropped unlocks,
 # reordered arena releases, deleted ownership annotations, hot-path
 # allocations) into the shipping sources via a load-time overlay and fails
-# if any survive. The two -fix tests apply alloccheck's suggested fixes to
-# planted bugs and check the rewritten source.
+# if any survive. The overlay reaches the compiler too, so the alloc cases
+# are checked against its -m escape sites for the mutated source. The two
+# -fix tests apply alloccheck's suggested fixes to planted bugs and check
+# the rewritten source.
 lint-mutations:
 	$(GO) test -count=1 -run 'TestUnitCheckMutations|TestLockCheckMutations|TestHandleCheckMutations|TestAllocCheckMutations|TestAllocCheckCapacityHintFix|TestAllocCheckHoistFix' ./internal/lint/
 

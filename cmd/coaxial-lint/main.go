@@ -11,12 +11,15 @@
 //	go build -o coaxial-lint ./cmd/coaxial-lint
 //	go vet -vettool=$PWD/coaxial-lint ./...
 //
-// In vettool mode the analyzer that needs cross-package purity facts
-// (observers) runs in a degraded mode — go vet type-checks one package at
-// a time from export data, so facts about other packages'
-// function bodies are unavailable and calls whose purity is unknown are
-// allowed rather than flagged. The standalone mode, which CI runs, loads
-// the whole module from source and applies the full rules.
+// In vettool mode two analyzers run degraded. go vet type-checks one
+// package at a time from export data, so observers has no facts about
+// other packages' function bodies and allows calls whose purity is
+// unknown rather than flagging them. And go vet hands the tool export
+// data, not compiler output, so alloccheck has none of the compiler's
+// escape-analysis sites and checks only the allocations it recognizes in
+// the source. The standalone mode, which CI runs, loads the whole module
+// from source — one go list call that also compiles it with -m — and
+// applies the full rules.
 //
 // A baseline file (-baseline, default .coaxlint.baseline when present)
 // records pre-existing findings so CI fails only on new violations;

@@ -38,7 +38,8 @@ type vetConfig struct {
 // Cross-package purity facts are unavailable in this mode — only the
 // current package's function bodies are in source form — so the suite runs
 // with facts computed for this package alone and treats unknown calls
-// permissively. Exit status: 0 clean, 2 findings (go vet's convention).
+// permissively; alloccheck runs without compiler heap sites. Exit status:
+// 0 clean, 2 findings (go vet's convention).
 func vettoolMode(cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -106,8 +107,8 @@ func vettoolMode(cfgPath string) int {
 	}
 
 	// Imports are export data: no bodies, so facts exist for this package
-	// alone.
-	drv := analysis.NewDriver(lint.Suite(), fset, cfg.ModulePath, true)
+	// alone, and no compiler output, so there are no heap sites.
+	drv := analysis.NewDriver(lint.Suite(), fset, cfg.ModulePath, true, nil)
 	diags, err := drv.Package(files, pkg, info, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coaxial-lint:", err)

@@ -455,7 +455,11 @@ func (p *Port) tickDeviceSide(now int64) {
 		p.stats.RetryCycles += wait
 		p.dev.totalQueueCycles += wait
 		w.req.Spill += now - w.since
-		p.stalled = p.stalled[1:]
+		// Pop by compaction: the FIFO keeps its backing array, so the
+		// append that refills it does not reallocate.
+		n := copy(p.stalled, p.stalled[1:])
+		p.stalled[n] = waiting{}
+		p.stalled = p.stalled[:n]
 		p.noteForwarded(w.req)
 	}
 	if len(p.stalled) == 0 {

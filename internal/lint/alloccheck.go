@@ -7,16 +7,16 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 
 	"coaxial/internal/lint/analysis"
 )
 
-// alloccheck is a flow-sensitive escape/allocation analysis enforcing the
-// zero-alloc discipline of the simulator's hot paths. The loaded-window
-// speed work (DESIGN §7) holds only while the per-cycle tick allocates
-// nothing in steady state; TestLoadedWindowAllocBudget guards that
-// dynamically, but only on the configuration it happens to run. alloccheck
-// proves it statically, per function, along every path.
+// alloccheck enforces the zero-alloc discipline of the simulator's hot
+// paths (DESIGN §6, §7): TestLoadedWindowAllocBudget measures the warm
+// tick's allocations on one configuration; alloccheck checks every path of
+// every hot function statically.
 //
 // Hot roots come from two sources: the declaration table in
 // DefaultAllocConfig (the phased tick — sim.System run/drain phases,
@@ -24,47 +24,41 @@ import (
 // drains, rack host/device phases) and a //lint:allocfree annotation on
 // any function declaration. Inside a hot function the analyzer reports:
 //
-//   - composite literals, new(T), and make([]T, ..) whose results escape —
-//     stored into a field, map/slice element, or package variable,
-//     returned, or captured by a closure. A tracked allocation that stays
-//     local is NOT reported: the compiler's escape analysis stack-allocates
-//     it, and flagging it would punish idiomatic scratch values.
-//   - make(map)/make(chan) and map literals, which heap-allocate
-//     unconditionally.
+//   - every heap allocation the compiler reports there (Pass.HeapSites:
+//     "escapes to heap" and "moved to heap" under -gcflags=-m), in the
+//     compiler's words. The compiler decides what escapes.
+//   - what allocates where -m does not say so: make of a map or channel,
+//     map literals, interface boxing of a concrete non-pointer value,
+//     string<->[]byte (and []rune) conversions, and calls on the
+//     always-allocates list (fmt.Sprintf and friends, errors.New, ...).
 //   - append in a loop to a local slice created without a capacity hint
-//     (make with no cap, or an empty literal) — the classic quadratic
-//     regrowth bug. Appends to struct fields are exempt: retained buffers
-//     amortize to zero allocations once warm (the arena discipline).
-//   - interface boxing: a concrete non-pointer value passed to an
-//     interface-typed parameter, converted to an interface type, or
-//     assigned into an interface-typed location.
-//   - string<->[]byte (and []rune) conversions, which copy.
-//   - calls on the always-allocates list (fmt.Sprintf and friends,
-//     errors.New, strconv formatting, sort.Slice).
+//     (make with no cap, or a literal): growth happens inside the runtime,
+//     where -m cannot see it. The creation site is the slice's defining
+//     statement, unless another assignment may reach the append; struct
+//     fields are exempt, since retained buffers amortize to zero once warm.
 //   - calls to any function whose interprocedural summary says it
 //     allocates, with the original site threaded into the message.
 //
-// Summaries are computed for every function of every loaded package —
-// within a package by rounds run to convergence, across packages through
-// the fact store in dependency order — so SubChannel.tryIssue calling a
-// helper checks at the call site, exactly like lockcheck's
-// requires/acquires summaries. An allocation justified in place with
+// One allocation is one finding: a compiler site inside the span of a
+// syntactic finding is the same allocation. A compiler site at the call
+// of a function the compiler inlined belongs to that function when it has
+// a summary here — the summary carries it to the call, and a justification
+// in the callee covers it — except a variadic call's "... argument" slice,
+// which the caller builds.
+//
+// Summaries are computed for every function of every loaded package, run
+// to convergence within a package and carried across packages by the fact
+// store in dependency order. An allocation justified in place with
 // //lint:alloc <why> is excluded from its function's summary: the
-// justification covers the callers too.
+// justification covers the callers too. Where it can, a finding carries a
+// SuggestedFix (coaxial-lint -fix): a capacity hint on an un-hinted append
+// target's creation, or hoisting a loop-invariant, read-only allocation
+// above its loop.
 //
-// Where it can, the analyzer attaches a machine-applicable SuggestedFix
-// (applied by coaxial-lint -fix): a capacity hint on the creation site of
-// a flagged append target, and hoisting a loop-invariant, read-only
-// allocation out of its loop.
-//
-// Soundness caveats (DESIGN §6): the analysis brackets the compiler's
-// real escape analysis from both sides rather than reproducing it — a
-// tracked local that never visibly escapes is assumed stack-allocated
-// (the compiler may still spill it, e.g. when it is too large), and an
-// escaping site is assumed heap-allocated (the compiler may still prove
-// it dead). Function literals are not descended into, and calls with no
-// summary (interface dispatch, function values, stdlib beyond the
-// explicit list) are given the benefit of the doubt.
+// Under go vet's tool protocol there is no compiler output, so only the
+// syntactic rules run. Calls through interfaces and function values have
+// no summaries, and function literal bodies are not descended into: they
+// run when the closure does, and the closure itself is a compiler site.
 type alloccheckState struct {
 	cfg      AllocConfig
 	hot      map[string]bool
@@ -165,76 +159,38 @@ func NewAllocCheck(cfg AllocConfig) *analysis.Analyzer {
 		a.allocFns[f] = true
 	}
 	return &analysis.Analyzer{
-		Name:        "alloccheck",
-		Doc:         "flow-sensitive escape/allocation analysis: heap allocations (escaping composites, boxing, un-hinted append growth, string conversions, fmt/errors construction) reachable from hot tick/drain functions",
-		Directives:  []string{"alloc"},
-		Annotations: []string{"allocfree"},
-		Run:         a.run,
+		Name:          "alloccheck",
+		Doc:           "heap allocations reachable from hot tick/drain functions: the compiler's escape-analysis sites, plus boxing, un-hinted append growth, map/chan makes, string conversions and fmt/errors construction",
+		Directives:    []string{"alloc"},
+		Annotations:   []string{"allocfree"},
+		UsesHeapSites: true,
+		Run:           a.run,
 	}
 }
 
 func (a *alloccheckState) run(pass *analysis.Pass) error {
 	reportUnresolved(pass, "hot root", a.cfg.HotFuncs)
+	// Every function with a body has a summary from the start, so a call
+	// to one is known to be summarized (see inlinedSite) before the
+	// fixpoint reaches it.
+	fns := pass.Funcs()
+	for _, fn := range fns {
+		pass.Facts.Set(fn.Obj, allocSumFact, allocSummary{})
+	}
 	// Convergence is decided on allocates alone: the reason nests the
 	// callee's reason, so around a recursive cycle it would grow every
 	// round. A summary keeps the chain that first proved it allocates.
-	err := analysis.Summarize(pass, allocSumFact, pass.Funcs(), a.summarize,
+	err := analysis.Summarize(pass, allocSumFact, fns, a.summarize,
 		func(x, y allocSummary) bool { return x.allocates == y.allocates })
 	if err != nil {
 		return err
 	}
-	a.reportPackage(pass)
-	return nil
-}
-
-// ---- allocation sites and flow state ----
-
-// allocSite is one tracked allocation expression. Sites are shared across
-// flow-state clones: escape is a may-property (any path escaping taints
-// the site), so the shared mutable record is exactly the join we want.
-type allocSite struct {
-	pos  token.Pos
-	what string // "composite literal", "new(T)", "make([]T, ..)"
-	// hinted marks a make with an explicit capacity argument.
-	hinted bool
-	// value marks a non-pointer composite bound by value; it allocates
-	// only if its address escapes.
-	value bool
-	// create is the allocation expression, kept for suggested fixes.
-	create ast.Expr
-	// escaped + how record the first witnessed escape.
-	escaped bool
-	how     string
-}
-
-// allocEnv is the flow state: a must-alias binding of local variables to
-// allocation sites. Join keeps only bindings present and equal on both
-// paths; a variable bound to different sites on merging paths becomes
-// untracked (benefit of the doubt).
-type allocEnv struct {
-	bind map[types.Object]*allocSite
-}
-
-func newAllocEnv() *allocEnv { return &allocEnv{bind: map[types.Object]*allocSite{}} }
-
-func (e *allocEnv) Clone() analysis.FlowState {
-	c := &allocEnv{bind: make(map[types.Object]*allocSite, len(e.bind))}
-	for k, v := range e.bind {
-		c.bind[k] = v
-	}
-	return c
-}
-
-func (e *allocEnv) Join(other analysis.FlowState) bool {
-	o := other.(*allocEnv)
-	changed := false
-	for k, v := range e.bind {
-		if ov, ok := o.bind[k]; !ok || ov != v {
-			delete(e.bind, k)
-			changed = true
+	for _, fn := range fns {
+		if a.hotDecl(pass, fn) {
+			a.newChecker(pass, fn.Decl).check()
 		}
 	}
-	return changed
+	return nil
 }
 
 // ---- per-function analysis ----
@@ -244,38 +200,59 @@ type allocPrescan struct {
 	// loopOf maps every node inside a for/range body to its innermost
 	// enclosing loop statement.
 	loopOf map[ast.Node]ast.Stmt
-	// captured holds objects referenced from inside function literals:
-	// anything bound to them escapes into the closure.
+	// captured holds objects referenced from inside function literals.
 	captured map[types.Object]bool
-	// assigned holds objects assigned anywhere in the body (per loop, for
-	// the hoist-invariance check) — keyed by loop, nil key = whole body.
+	// assignedIn holds objects assigned per loop (for the hoist-invariance
+	// check) — keyed by loop, nil key = whole body.
 	assignedIn map[ast.Stmt]map[types.Object]bool
 	// names counts identifier definitions per name, to veto hoists that
 	// would collide with a shadowed declaration.
 	names map[string]int
+	// creation holds the value a local is defined with; assigns holds the
+	// positions of its other assignments, self-appends
+	// (x = append(x, ...)) excepted.
+	creation map[types.Object]ast.Expr
+	assigns  map[types.Object][]token.Pos
+	// literals holds the bodies of function literals, whose compiler
+	// sites belong to the closure, not to this function.
+	literals []*ast.BlockStmt
+	// calls maps the opening parenthesis of each static call to its callee:
+	// the compiler reports a site it inlined from the callee there.
+	calls map[token.Pos]*types.Func
 }
 
 type allocChecker struct {
 	a    *alloccheckState
 	pass *analysis.Pass
+	decl *ast.FuncDecl
 	pre  *allocPrescan
-	body *ast.BlockStmt
-	// reporting enables diagnostics (the hot-function replay pass).
-	reporting bool
 	// collect, when non-nil, receives the first unsuppressed allocation
-	// (summary computation).
+	// (summary computation); nil means report diagnostics (a hot root).
 	collect *allocSummary
-	// reported dedupes site-anchored diagnostics across replay paths.
+	// claimed holds the source spans of syntactic findings; reported
+	// dedupes findings by position.
+	claimed  [][2]token.Pos
 	reported map[token.Pos]bool
 }
 
-// prescan walks the body once, mapping nodes to loops and closures.
+func (a *alloccheckState) newChecker(pass *analysis.Pass, decl *ast.FuncDecl) *allocChecker {
+	c := &allocChecker{a: a, pass: pass, decl: decl, reported: map[token.Pos]bool{}}
+	c.prescan(decl.Body)
+	return c
+}
+
+// prescan walks the body once, mapping nodes to loops and closures and
+// recording how each local is written.
 func (c *allocChecker) prescan(body *ast.BlockStmt) {
+	info := c.pass.TypesInfo
 	c.pre = &allocPrescan{
 		loopOf:     map[ast.Node]ast.Stmt{},
 		captured:   map[types.Object]bool{},
 		assignedIn: map[ast.Stmt]map[types.Object]bool{},
 		names:      map[string]int{},
+		creation:   map[types.Object]ast.Expr{},
+		assigns:    map[types.Object][]token.Pos{},
+		calls:      map[token.Pos]*types.Func{},
 	}
 	var loops []ast.Stmt
 	var walk func(n ast.Node) bool
@@ -284,9 +261,10 @@ func (c *allocChecker) prescan(body *ast.BlockStmt) {
 		case nil:
 			return false
 		case *ast.FuncLit:
+			c.pre.literals = append(c.pre.literals, x.Body)
 			ast.Inspect(x.Body, func(m ast.Node) bool {
 				if id, ok := m.(*ast.Ident); ok {
-					if obj := objOf(c.pass.TypesInfo, id); obj != nil && !declaredWithin(obj, x) {
+					if obj := objOf(info, id); obj != nil && !declaredWithin(obj, x) {
 						c.pre.captured[obj] = true
 					}
 				}
@@ -294,6 +272,9 @@ func (c *allocChecker) prescan(body *ast.BlockStmt) {
 			})
 			return false
 		case *ast.ForStmt, *ast.RangeStmt:
+			if len(loops) > 0 {
+				c.pre.loopOf[x] = loops[len(loops)-1]
+			}
 			loops = append(loops, x.(ast.Stmt))
 			if fs, ok := x.(*ast.ForStmt); ok {
 				ast.Inspect(fs.Init, walk)
@@ -312,26 +293,48 @@ func (c *allocChecker) prescan(body *ast.BlockStmt) {
 			loops = loops[:len(loops)-1]
 			return false
 		case *ast.Ident:
-			if c.pass.TypesInfo.Defs[x] != nil {
+			if info.Defs[x] != nil {
 				c.pre.names[x.Name]++
 			}
+		case *ast.CallExpr:
+			if fn := calleeOf(info, x); fn != nil {
+				c.pre.calls[x.Lparen] = fn
+			}
+		case *ast.ValueSpec:
+			if len(x.Values) == len(x.Names) {
+				for i, name := range x.Names {
+					c.pre.creation[info.Defs[name]] = x.Values[i]
+				}
+			}
 		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-					// A definition (:=) is the variable coming into being,
-					// not a re-assignment; recording it would veto hoisting
-					// the defining statement itself.
-					if c.pass.TypesInfo.Defs[id] == nil {
-						c.noteAssigned(loops, objOf(c.pass.TypesInfo, id))
-					}
-				} else if root := rootIdent(lhs); root != nil {
+			for i, lhs := range x.Lhs {
+				id, ok := ast.Unparen(lhs).(*ast.Ident)
+				if !ok {
 					// Writing s.f or s[i] mutates what s refers to.
-					c.noteAssigned(loops, objOf(c.pass.TypesInfo, root))
+					if root := rootIdent(lhs); root != nil {
+						c.noteAssigned(loops, objOf(info, root))
+					}
+					continue
+				}
+				obj := objOf(info, id)
+				// A definition (:=) is the variable coming into being,
+				// not a re-assignment; recording it would veto hoisting
+				// the defining statement itself.
+				switch {
+				case info.Defs[id] != nil:
+					if len(x.Lhs) == len(x.Rhs) {
+						c.pre.creation[obj] = x.Rhs[i]
+					}
+				case len(x.Lhs) != len(x.Rhs) || !selfAppend(info, obj, x.Rhs[i]):
+					c.pre.assigns[obj] = append(c.pre.assigns[obj], x.Pos())
+					fallthrough
+				default:
+					c.noteAssigned(loops, obj)
 				}
 			}
 		case *ast.IncDecStmt:
 			if root := rootIdent(x.X); root != nil {
-				c.noteAssigned(loops, objOf(c.pass.TypesInfo, root))
+				c.noteAssigned(loops, objOf(info, root))
 			}
 		}
 		if len(loops) > 0 {
@@ -340,6 +343,17 @@ func (c *allocChecker) prescan(body *ast.BlockStmt) {
 		return true
 	}
 	ast.Inspect(body, walk)
+}
+
+// selfAppend reports whether rhs is append(x, ...) or append(x[..], ...)
+// for the object x it is assigned to.
+func selfAppend(info *types.Info, obj types.Object, rhs ast.Expr) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || builtinName(info, call) != "append" || len(call.Args) == 0 {
+		return false
+	}
+	root := rootIdent(call.Args[0])
+	return root != nil && objOf(info, root) == obj
 }
 
 func (c *allocChecker) noteAssigned(loops []ast.Stmt, obj types.Object) {
@@ -357,442 +371,263 @@ func (c *allocChecker) noteAssigned(loops []ast.Stmt, obj types.Object) {
 	}
 }
 
-// suppressed reports whether pos carries a //lint:alloc justification (or
-// the generic ignore form); used when folding sites into summaries so a
-// justified allocation does not taint every caller.
-func (c *allocChecker) suppressed(pos token.Pos) bool {
-	if args, ok := c.pass.DirectiveOn(pos, "alloc"); ok && args != "" {
-		return true
-	}
-	if args, ok := c.pass.DirectiveOn(pos, "ignore"); ok {
-		rest, found := cutPrefixWord(args, "alloccheck")
-		return found && rest != ""
-	}
-	return false
-}
-
-// cutPrefixWord cuts a leading word followed by a space.
-func cutPrefixWord(s, word string) (string, bool) {
-	if s == word {
-		return "", true
-	}
-	if len(s) > len(word) && s[:len(word)] == word && s[len(word)] == ' ' {
-		return s[len(word)+1:], true
-	}
-	return "", false
-}
-
-// emit routes one allocation event: to the diagnostic stream in reporting
-// mode (Reportf handles suppression), to the summary in collect mode
-// (honoring suppressions itself).
+// emit routes one allocation at pos, once per position: to the summary
+// in collect mode (honoring suppressions itself), otherwise to the
+// diagnostic stream (ReportWithFix handles suppression).
 func (c *allocChecker) emit(pos token.Pos, fix *analysis.SuggestedFix, format string, args ...any) {
+	if c.reported[pos] {
+		return
+	}
+	c.reported[pos] = true
 	if c.collect != nil {
-		if !c.collect.allocates && !c.suppressed(pos) {
+		if !c.collect.allocates && !c.pass.Suppressed(pos) {
 			c.collect.allocates = true
 			c.collect.reason = fmt.Sprintf("%s: %s",
 				c.pass.Fset.Position(pos), fmt.Sprintf(format, args...))
 		}
 		return
 	}
-	if c.reporting {
-		c.pass.ReportWithFix(pos, fix, format, args...)
-	}
+	c.pass.ReportWithFix(pos, fix, format, args...)
 }
 
-// emitSite is emit anchored at an allocation site, deduplicated (replay
-// can witness the same site's escape through several variables or paths).
-func (c *allocChecker) emitSite(site *allocSite, fix *analysis.SuggestedFix, format string, args ...any) {
-	if c.reported[site.pos] {
-		return
-	}
-	c.reported[site.pos] = true
-	c.emit(site.pos, fix, format, args...)
+// report emits a syntactic finding at n and claims n's source span.
+func (c *allocChecker) report(n ast.Node, fix *analysis.SuggestedFix, format string, args ...any) {
+	c.claimed = append(c.claimed, [2]token.Pos{n.Pos(), n.End()})
+	c.emit(n.Pos(), fix, format, args...)
 }
 
-// transfer is the abstract step for one CFG node.
-func (c *allocChecker) transfer(n ast.Node, s analysis.FlowState) {
-	env := s.(*allocEnv)
+// check walks the function: the syntactic rules over its body (function
+// literals excluded), then the compiler's heap sites inside it.
+func (c *allocChecker) check() {
+	ast.Inspect(c.decl.Body, c.visit)
+	c.heapSites()
+}
+
+func (c *allocChecker) visit(n ast.Node) bool {
+	info := c.pass.TypesInfo
 	switch x := n.(type) {
-	case *analysis.RunDefers:
-		return
+	case *ast.FuncLit:
+		return false
 	case *ast.AssignStmt:
-		c.assign(x, env)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					c.declSpec(vs, env)
-				}
+		if len(x.Lhs) != len(x.Rhs) {
+			break
+		}
+		for i, lhs := range x.Lhs {
+			id, isIdent := ast.Unparen(lhs).(*ast.Ident)
+			if isIdent && id.Name == "_" {
+				continue // a blank discard keeps nothing
+			}
+			c.boxCheck(x.Rhs[i], info.TypeOf(lhs))
+			if call, ok := ast.Unparen(x.Rhs[i]).(*ast.CallExpr); ok && isIdent && selfAppend(info, objOf(info, id), call) {
+				c.appendGrowth(call, objOf(info, id))
 			}
 		}
-	case *ast.ReturnStmt:
-		for _, res := range x.Results {
-			c.escapeIfTracked(res, env, "returned")
-			c.scanExpr(res, env)
-		}
-	case *ast.RangeStmt:
-		c.scanExpr(x.X, env)
-	default:
-		c.scanNode(n, env)
-	}
-}
-
-// declSpec handles `var x = <expr>` declarations like assignments.
-func (c *allocChecker) declSpec(vs *ast.ValueSpec, env *allocEnv) {
-	for i, name := range vs.Names {
-		if i < len(vs.Values) {
-			c.bindOrScan(name, vs.Values[i], env)
-		}
-	}
-}
-
-// assign handles one assignment statement: allocation bindings, aliasing,
-// escapes through composite LHS, boxing into interface locations, and
-// append tracking.
-func (c *allocChecker) assign(as *ast.AssignStmt, env *allocEnv) {
-	// Parallel assignment with unequal arity (x, y := f()): no bindings to
-	// track, just scan.
-	if len(as.Lhs) != len(as.Rhs) {
-		for _, rhs := range as.Rhs {
-			c.scanExpr(rhs, env)
-		}
-		for _, lhs := range as.Lhs {
-			c.scanLHS(lhs, env)
-		}
-		return
-	}
-	for i := range as.Lhs {
-		lhs, rhs := ast.Unparen(as.Lhs[i]), ast.Unparen(as.Rhs[i])
-		if id, ok := lhs.(*ast.Ident); ok {
-			// A blank discard keeps nothing: the value cannot escape
-			// through it.
-			if id.Name == "_" {
-				c.scanExpr(rhs, env)
-				continue
+	case *ast.ValueSpec:
+		for i, name := range x.Names {
+			if i < len(x.Values) {
+				c.boxCheck(x.Values[i], info.TypeOf(name))
 			}
-			c.bindOrScan(id, rhs, env)
+		}
+	case *ast.CompositeLit:
+		if isKind[*types.Map](info.TypeOf(x)) {
+			c.report(x, c.hoistFix(x), "heap allocation in hot path: map literal always allocates")
+		}
+	case *ast.CallExpr:
+		c.call(x)
+	}
+	return true
+}
+
+// heapSites emits the compiler's heap sites inside the function: in its
+// signature or body, outside function literals, unclaimed by a syntactic
+// finding, and not inlined from a summarized callee.
+func (c *allocChecker) heapSites() {
+	sites := c.pass.HeapSites
+	i := sort.Search(len(sites), func(i int) bool { return sites[i].Pos >= c.decl.Pos() })
+	for ; i < len(sites) && sites[i].Pos < c.decl.End(); i++ {
+		site := sites[i]
+		if c.inLiteral(site.Pos) || c.isClaimed(site.Pos) || c.inlinedSite(site) {
 			continue
 		}
-		// Composite LHS (field, element, deref, package var): anything
-		// tracked on the RHS escapes into it, and a concrete RHS flowing
-		// into an interface-typed location boxes.
-		c.escapeIfTracked(rhs, env, "stored into "+lhsKind(c.pass, lhs))
-		c.boxCheck(rhs, c.pass.TypesInfo.TypeOf(lhs), env)
-		c.scanExpr(rhs, env)
-		c.scanLHS(lhs, env)
-	}
-}
-
-// scanLHS scans the subscripts/receiver parts of a non-identifier LHS.
-func (c *allocChecker) scanLHS(lhs ast.Expr, env *allocEnv) {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.IndexExpr:
-		c.scanExpr(x.Index, env)
-	case *ast.StarExpr:
-		c.scanExpr(x.X, env)
-	}
-}
-
-// bindOrScan binds id to the allocation site of rhs when rhs allocates or
-// aliases a tracked site; otherwise scans rhs normally. Binding to an
-// interface-typed variable also box-checks.
-func (c *allocChecker) bindOrScan(id *ast.Ident, rhs ast.Expr, env *allocEnv) {
-	obj := objOf(c.pass.TypesInfo, id)
-	if obj == nil {
-		c.scanExpr(rhs, env)
-		return
-	}
-	// A plain identifier can still be a package variable: assigning an
-	// allocation to it escapes, same as the selector form.
-	if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		c.escapeIfTracked(rhs, env, "stored into package variable "+id.Name)
-		c.boxCheck(rhs, obj.Type(), env)
-		c.scanExpr(rhs, env)
-		return
-	}
-	c.boxCheck(rhs, obj.Type(), env)
-	if site := c.siteOf(rhs, env); site != nil {
-		env.bind[obj] = site
-		if c.pre.captured[obj] {
-			c.escapeSite(site, "captured by a closure")
-		}
-		// The allocation's operands still need scanning (a make's length
-		// expression can itself allocate).
-		if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-			for _, arg := range call.Args {
-				c.scanExpr(arg, env)
-			}
-		}
-		return
-	}
-	// x = append(x, ...): keep x bound to its creation site; growth is
-	// checked against that site's capacity hint.
-	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && builtinName(c.pass.TypesInfo, call) == "append" {
-		c.appendCall(call, obj, env)
-		return
-	}
-	delete(env.bind, obj)
-	c.scanExpr(rhs, env)
-}
-
-// siteOf recognizes an allocation or aliasing expression: a composite
-// literal (&T{...} pointer or T{...} value), new(T), make of a slice, or a
-// plain identifier already bound to a site.
-func (c *allocChecker) siteOf(rhs ast.Expr, env *allocEnv) *allocSite {
-	switch x := ast.Unparen(rhs).(type) {
-	case *ast.Ident:
-		return env.bind[objOf(c.pass.TypesInfo, x)]
-	case *ast.UnaryExpr:
-		if x.Op != token.AND {
-			return nil
-		}
-		if lit, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-			c.mapLitCheck(lit)
-			return &allocSite{pos: x.Pos(), what: "&" + typeLabel(c.pass, lit) + " literal", create: rhs}
-		}
-		// &local: alias the pointed-to value's site, so escapes through
-		// the pointer taint the composite.
-		if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-			return env.bind[objOf(c.pass.TypesInfo, id)]
-		}
-		return nil
-	case *ast.CompositeLit:
-		c.mapLitCheck(x)
-		if isMapType(c.pass.TypesInfo.TypeOf(x)) {
-			return nil // already reported unconditionally
-		}
-		site := &allocSite{pos: x.Pos(), what: typeLabel(c.pass, x) + " literal", create: rhs}
-		site.value = !isSliceType(c.pass.TypesInfo.TypeOf(x))
-		return site
-	case *ast.CallExpr:
-		switch builtinName(c.pass.TypesInfo, x) {
-		case "new":
-			return &allocSite{pos: x.Pos(), what: "new(" + typeLabel(c.pass, x.Args[0]) + ")", create: rhs}
-		case "make":
-			t := c.pass.TypesInfo.TypeOf(x)
-			if isMapType(t) || isChanType(t) {
-				site := &allocSite{pos: x.Pos(), create: rhs}
-				var fix *analysis.SuggestedFix
-				if c.reporting && !c.reported[site.pos] {
-					fix = c.hoistFix(site)
-				}
-				c.emitSite(site, fix, "heap allocation in hot path: make of a %s always allocates", typeKindLabel(t))
-				return nil
-			}
-			return &allocSite{
-				pos: x.Pos(), what: "make(" + typeLabel(c.pass, x.Args[0]) + ", ..)",
-				hinted: len(x.Args) == 3, create: rhs,
-			}
-		}
-	}
-	return nil
-}
-
-// mapLitCheck reports map literals, which always heap-allocate.
-func (c *allocChecker) mapLitCheck(lit *ast.CompositeLit) {
-	if isMapType(c.pass.TypesInfo.TypeOf(lit)) {
-		site := &allocSite{pos: lit.Pos(), create: lit}
 		var fix *analysis.SuggestedFix
-		if c.reporting && !c.reported[site.pos] {
-			fix = c.hoistFix(site)
+		if c.collect == nil {
+			if create := c.allocExprAt(site.Pos); create != nil {
+				fix = c.hoistFix(create)
+			}
 		}
-		c.emitSite(site, fix, "heap allocation in hot path: map literal always allocates")
+		c.emit(site.Pos, fix, "heap allocation in hot path: %s", site.Message)
 	}
 }
 
-// escapeIfTracked marks the site behind expr (x, &x, or an allocation
-// expression used directly) as escaped. Value composites escape only
-// through their address: `*p = robEntry{}` or `return Victim{}` copies
-// the value into existing storage and allocates nothing, while
-// `s.f = &x` pins x on the heap. Pointer-producing sites (&T{}, new,
-// make) escape whenever the pointer flows out.
-func (c *allocChecker) escapeIfTracked(expr ast.Expr, env *allocEnv, how string) {
-	expr = ast.Unparen(expr)
-	viaAddress := false
-	if ue, ok := expr.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-		viaAddress = true
+func (c *allocChecker) inLiteral(pos token.Pos) bool {
+	for _, body := range c.pre.literals {
+		if body.Pos() <= pos && pos < body.End() {
+			return true
+		}
 	}
-	site := c.siteOf(expr, env)
-	if site == nil {
-		return
-	}
-	if site.value && !viaAddress {
-		return
-	}
-	c.escapeSite(site, how)
+	return false
 }
 
-// escapeSite records the escape and reports the site. When the site is a
-// loop-invariant read-only allocation, the diagnostic carries a hoist fix.
-func (c *allocChecker) escapeSite(site *allocSite, how string) {
-	if !site.escaped {
-		site.escaped = true
-		site.how = how
+func (c *allocChecker) isClaimed(pos token.Pos) bool {
+	for _, span := range c.claimed {
+		if span[0] <= pos && pos < span[1] {
+			return true
+		}
 	}
-	var fix *analysis.SuggestedFix
-	if c.reporting && !c.reported[site.pos] {
-		fix = c.hoistFix(site)
-	}
-	c.emitSite(site, fix, "heap allocation in hot path: %s escapes (%s)", site.what, site.how)
+	return false
 }
 
-// appendCall checks x = append(x, ...) growth discipline: inside a loop,
-// the appended-to slice must carry a capacity hint.
-func (c *allocChecker) appendCall(call *ast.CallExpr, target types.Object, env *allocEnv) {
-	for _, arg := range call.Args[1:] {
-		c.boxCheckSliceElem(call, arg, env)
-		c.scanExpr(arg, env)
+// inlinedSite reports whether a compiler site sits at the call of a
+// summarized function, where the compiler reports what it inlined from
+// the callee; the variadic "... argument" slice is built by the caller.
+func (c *allocChecker) inlinedSite(site analysis.HeapSite) bool {
+	fn := c.pre.calls[site.Pos]
+	if fn == nil || strings.HasPrefix(site.Message, "... argument ") {
+		return false
 	}
-	site := env.bind[target]
+	_, summarized := c.pass.Facts.Get(fn, allocSumFact)
+	return summarized
+}
+
+// allocExprAt finds the allocation expression the compiler reports at pos
+// — the & of &T{...}, the brace of a composite literal, the parenthesis
+// of make or new — for keying a hoist fix onto it.
+func (c *allocChecker) allocExprAt(pos token.Pos) ast.Expr {
+	var found ast.Expr
+	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.UnaryExpr:
+			if x.Op == token.AND && x.Pos() == pos {
+				found = x
+			}
+		case *ast.CompositeLit:
+			if x.Lbrace == pos {
+				found = x
+			}
+		case *ast.CallExpr:
+			if bn := builtinName(c.pass.TypesInfo, x); (bn == "make" || bn == "new") && x.Lparen == pos {
+				found = x
+			}
+		}
+		return found == nil
+	})
+	return found
+}
+
+// appendGrowth checks x = append(x, ...) growth discipline: inside a
+// loop, the appended-to slice must carry a capacity hint at its creation
+// site — its defining statement, when no other assignment can reach the
+// append: none lies between the definition and the end of the outermost
+// loop around the append that does not also hold the definition.
+// Parameters, fields, slices reassigned on the way and slices captured by
+// a closure get the benefit of the doubt.
+func (c *allocChecker) appendGrowth(call *ast.CallExpr, target types.Object) {
 	loop := c.pre.loopOf[call]
 	if loop == nil {
 		return // one-shot appends amortize; only loops grow
 	}
-	if site == nil {
-		// Untracked target: a parameter, field-copied slice, or a merge
-		// casualty. Fields are exempt by design (retained buffers); for
-		// the rest the benefit of the doubt applies.
+	create := c.pre.creation[target]
+	if create == nil || c.pre.captured[target] {
 		return
 	}
-	if site.hinted {
-		return
+	outer := loop
+	for p := c.pre.loopOf[outer]; p != nil && (create.Pos() < p.Pos() || p.End() <= create.Pos()); p = c.pre.loopOf[p] {
+		outer = p
 	}
-	var fix *analysis.SuggestedFix
-	if c.reporting && !c.reported[site.pos] {
-		fix = c.capacityHintFix(site, loop)
-	}
-	c.emitSite(site, fix, "append in a loop grows %s, which was created without a capacity hint", c.renderExpr(call.Args[0]))
-}
-
-// ---- expression scanning (boxing, conversions, calls) ----
-
-// scanNode scans a straight-line statement.
-func (c *allocChecker) scanNode(n ast.Node, env *allocEnv) {
-	switch x := n.(type) {
-	case *ast.ExprStmt:
-		c.scanExpr(x.X, env)
-	case *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt:
-	case *ast.SendStmt:
-		c.scanExpr(x.Chan, env)
-		c.scanExpr(x.Value, env)
-	case *ast.DeferStmt:
-		c.scanExpr(x.Call, env)
-	case *ast.GoStmt:
-		c.scanExpr(x.Call, env)
-	case ast.Expr:
-		c.scanExpr(x, env)
-	default:
-		ast.Inspect(n, func(m ast.Node) bool {
-			if e, ok := m.(ast.Expr); ok {
-				c.scanExpr(e, env)
-				return false
-			}
-			return true
-		})
-	}
-}
-
-// scanExpr walks one expression, firing call/conversion/boxing events.
-// Function literals are not descended into.
-func (c *allocChecker) scanExpr(e ast.Expr, env *allocEnv) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(m ast.Node) bool {
-		switch y := m.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			c.call(y, env)
-			return false // call() scans its own arguments
+	for _, at := range c.pre.assigns[target] {
+		if create.Pos() < at && at < outer.End() {
+			return
 		}
-		return true
-	})
+	}
+	switch x := ast.Unparen(create).(type) {
+	case *ast.CompositeLit:
+	case *ast.CallExpr:
+		if builtinName(c.pass.TypesInfo, x) != "make" || len(x.Args) == 3 {
+			return
+		}
+	default:
+		return
+	}
+	c.report(create, c.capacityHintFix(create, loop),
+		"append in a loop grows %s, which was created without a capacity hint", c.renderExpr(call.Args[0]))
 }
+
+// ---- calls, conversions, boxing ----
 
 // call handles one call or conversion expression.
-func (c *allocChecker) call(call *ast.CallExpr, env *allocEnv) {
+func (c *allocChecker) call(call *ast.CallExpr) {
+	info := c.pass.TypesInfo
 	// Type conversions: string<->[]byte/[]rune copy; conversions to
 	// interface types box.
-	if tv, ok := c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		c.conversion(call, tv.Type, env)
-		c.scanExpr(call.Args[0], env)
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+		c.conversion(call, tv.Type)
 		return
 	}
-	switch builtinName(c.pass.TypesInfo, call) {
+	switch builtinName(info, call) {
 	case "append":
-		// Append outside an assignment tracking context (nested in an
-		// expression): scan arguments only.
-		for _, arg := range call.Args {
-			c.scanExpr(arg, env)
+		if !call.Ellipsis.IsValid() {
+			if st, ok := info.TypeOf(call.Args[0]).Underlying().(*types.Slice); ok {
+				for _, arg := range call.Args[1:] {
+					c.boxCheck(arg, st.Elem())
+				}
+			}
 		}
 		return
-	case "make", "new":
-		// An allocation expression in bare expression position (a call
-		// argument, usually): handled by siteOf when bound; here it is
-		// being handed away immediately.
-		if site := c.siteOf(call, env); site != nil {
-			c.escapeSite(site, "passed away unbound")
-		}
-		for _, arg := range call.Args {
-			c.scanExpr(arg, env)
+	case "make":
+		if t := info.TypeOf(call); isKind[*types.Map](t) {
+			c.report(call, c.hoistFix(call), "heap allocation in hot path: make of a map always allocates")
+		} else if isKind[*types.Chan](t) {
+			c.report(call, c.hoistFix(call), "heap allocation in hot path: make of a channel always allocates")
 		}
 		return
 	case "":
 	default:
-		// len/cap/min/max/copy/delete and friends: scan operands.
-		for _, arg := range call.Args {
-			c.scanExpr(arg, env)
-		}
-		return
+		return // new, len, cap, copy, ...: the compiler sees what they allocate
 	}
 
-	fn := calleeOf(c.pass.TypesInfo, call)
-	if fn != nil {
-		qname := funcQName(fn)
-		if c.a.allocFns[qname] {
-			c.emit(call.Pos(), nil, "call to %s allocates in hot path", qname)
-		} else if v, ok := c.pass.Facts.Get(fn, allocSumFact); ok {
-			if sum, _ := v.(allocSummary); sum.allocates {
-				c.emit(call.Pos(), nil, "call to %s allocates in hot path (%s)", fn.Name(), sum.reason)
-			}
+	fn := calleeOf(info, call)
+	if fn == nil {
+		return
+	}
+	qname := funcQName(fn)
+	if c.a.allocFns[qname] {
+		// The call's own argument boxing is part of what it allocates.
+		c.report(call, nil, "call to %s allocates in hot path", qname)
+		return
+	}
+	if v, ok := c.pass.Facts.Get(fn, allocSumFact); ok {
+		if sum, _ := v.(allocSummary); sum.allocates {
+			c.report(call, nil, "call to %s allocates in hot path (%s)", fn.Name(), sum.reason)
 		}
-		c.boxCheckArgs(call, fn, env)
 	}
-	for _, arg := range call.Args {
-		c.scanExpr(arg, env)
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		c.scanExpr(sel.X, env)
-	}
+	c.boxCheckArgs(call, fn)
 }
 
 // conversion reports allocating type conversions.
-func (c *allocChecker) conversion(call *ast.CallExpr, to types.Type, env *allocEnv) {
+func (c *allocChecker) conversion(call *ast.CallExpr, to types.Type) {
 	from := c.pass.TypesInfo.TypeOf(call.Args[0])
 	if from == nil {
 		return
 	}
 	if isStringType(to) && isByteOrRuneSlice(from) {
-		c.emit(call.Pos(), nil, "string conversion allocates in hot path: string(%s) copies", c.renderExpr(call.Args[0]))
+		c.report(call, nil, "string conversion allocates in hot path: string(%s) copies", c.renderExpr(call.Args[0]))
 		return
 	}
 	if isByteOrRuneSlice(to) && isStringType(from) {
-		c.emit(call.Pos(), nil, "string conversion allocates in hot path: %s copies", c.renderExpr(call))
+		c.report(call, nil, "string conversion allocates in hot path: %s copies", c.renderExpr(call))
 		return
 	}
 	if types.IsInterface(to.Underlying()) {
-		c.boxCheck(call.Args[0], to, env)
+		c.boxCheck(call.Args[0], to)
 	}
 }
 
 // boxCheckArgs checks each argument against its parameter type for
-// interface boxing. fmt-style always-allocates callees are exempt (the
-// call itself was already reported).
-func (c *allocChecker) boxCheckArgs(call *ast.CallExpr, fn *types.Func, env *allocEnv) {
-	if c.a.allocFns[funcQName(fn)] {
-		return
-	}
+// interface boxing.
+func (c *allocChecker) boxCheckArgs(call *ast.CallExpr, fn *types.Func) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return
@@ -811,14 +646,7 @@ func (c *allocChecker) boxCheckArgs(call *ast.CallExpr, fn *types.Func, env *all
 		default:
 			continue
 		}
-		c.boxCheck(arg, pt, env)
-	}
-}
-
-// boxCheckSliceElem checks appends into interface-element slices.
-func (c *allocChecker) boxCheckSliceElem(call *ast.CallExpr, arg ast.Expr, env *allocEnv) {
-	if st, ok := c.pass.TypesInfo.TypeOf(call.Args[0]).Underlying().(*types.Slice); ok {
-		c.boxCheck(arg, st.Elem(), env)
+		c.boxCheck(arg, pt)
 	}
 }
 
@@ -826,7 +654,7 @@ func (c *allocChecker) boxCheckSliceElem(call *ast.CallExpr, arg ast.Expr, env *
 // interface-typed destination. Pointers, interfaces, channels, maps, and
 // funcs fit in the interface word without allocating; constants fold to
 // static cells; nil is nil.
-func (c *allocChecker) boxCheck(arg ast.Expr, dest types.Type, env *allocEnv) {
+func (c *allocChecker) boxCheck(arg ast.Expr, dest types.Type) {
 	if dest == nil || !types.IsInterface(dest.Underlying()) {
 		return
 	}
@@ -845,7 +673,7 @@ func (c *allocChecker) boxCheck(arg ast.Expr, dest types.Type, env *allocEnv) {
 	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
 		return
 	}
-	c.emit(arg.Pos(), nil, "interface boxing in hot path: %s value %s converted to %s",
+	c.report(arg, nil, "interface boxing in hot path: %s value %s converted to %s",
 		at.String(), c.renderExpr(arg), dest.String())
 }
 
@@ -855,16 +683,16 @@ func (c *allocChecker) boxCheck(arg ast.Expr, dest types.Type, env *allocEnv) {
 // in a range loop stop growing it: make(S, 0) and S{} become
 // make(S, 0, len(<ranged>)). Only offered when the loop is a range over a
 // pure expression (an identifier or selector chain).
-func (c *allocChecker) capacityHintFix(site *allocSite, loop ast.Stmt) *analysis.SuggestedFix {
+func (c *allocChecker) capacityHintFix(create ast.Expr, loop ast.Stmt) *analysis.SuggestedFix {
 	rng, ok := loop.(*ast.RangeStmt)
-	if !ok {
+	if !ok || c.collect != nil {
 		return nil
 	}
 	bound := c.renderExpr(rng.X)
 	if bound == "" {
 		return nil
 	}
-	switch x := ast.Unparen(site.create).(type) {
+	switch x := ast.Unparen(create).(type) {
 	case *ast.CallExpr:
 		// make(S, 0) -> make(S, 0, len(bound)); only the zero-length form
 		// is safely hintable (adding cap to a non-zero len changes nothing
@@ -879,7 +707,7 @@ func (c *allocChecker) capacityHintFix(site *allocSite, loop ast.Stmt) *analysis
 			},
 		}
 	case *ast.CompositeLit:
-		if len(x.Elts) != 0 || !isSliceType(c.pass.TypesInfo.TypeOf(x)) {
+		if len(x.Elts) != 0 || !isKind[*types.Slice](c.pass.TypesInfo.TypeOf(x)) {
 			return nil
 		}
 		return &analysis.SuggestedFix{
@@ -896,19 +724,18 @@ func (c *allocChecker) capacityHintFix(site *allocSite, loop ast.Stmt) *analysis
 // hoistFix proposes moving a loop-invariant, read-only allocation above
 // its loop. Offered only when it provably cannot change behavior: every
 // operand of the allocation is a literal or a variable neither declared
-// nor assigned inside the loop, and the bound variable is never written,
-// appended to, captured, or passed to a call after creation (reads,
-// len/cap, indexing, and ranging are fine) — a reused read-only slice or
-// map is indistinguishable from a fresh one.
-func (c *allocChecker) hoistFix(site *allocSite) *analysis.SuggestedFix {
-	if site.create == nil {
+// nor assigned inside the loop, and the bound variable is only read after
+// creation — indexed, ranged over, or measured with len/cap — so a reused
+// slice or map is indistinguishable from a fresh one.
+func (c *allocChecker) hoistFix(create ast.Expr) *analysis.SuggestedFix {
+	if c.collect != nil {
 		return nil
 	}
-	loop := c.pre.loopOf[site.create]
+	loop := c.pre.loopOf[create]
 	if loop == nil {
 		return nil
 	}
-	stmt := c.creationStmt(site)
+	stmt := c.creationStmt(create)
 	if stmt == nil || c.pre.loopOf[stmt] != loop {
 		return nil
 	}
@@ -925,7 +752,7 @@ func (c *allocChecker) hoistFix(site *allocSite) *analysis.SuggestedFix {
 	if obj == nil || !c.readOnlyAfter(obj, loop) {
 		return nil
 	}
-	if !c.invariantOperands(site.create, loop) {
+	if !c.invariantOperands(create, loop) {
 		return nil
 	}
 	var buf bytes.Buffer
@@ -942,17 +769,16 @@ func (c *allocChecker) hoistFix(site *allocSite) *analysis.SuggestedFix {
 	}
 }
 
-// creationStmt finds the statement node holding the site's creation
-// expression (the := assignment).
-func (c *allocChecker) creationStmt(site *allocSite) ast.Stmt {
+// creationStmt finds the assignment whose right-hand side is create.
+func (c *allocChecker) creationStmt(create ast.Expr) ast.Stmt {
 	var found ast.Stmt
-	ast.Inspect(c.body, func(n ast.Node) bool {
+	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
 		if found != nil {
 			return false
 		}
 		if as, ok := n.(*ast.AssignStmt); ok {
 			for _, rhs := range as.Rhs {
-				if ast.Unparen(rhs) == ast.Unparen(site.create) {
+				if ast.Unparen(rhs) == ast.Unparen(create) {
 					found = as
 					return false
 				}
@@ -964,39 +790,37 @@ func (c *allocChecker) creationStmt(site *allocSite) ast.Stmt {
 }
 
 // readOnlyAfter reports whether obj is only ever read inside the loop:
-// no assignments, no index/field writes through it, no address-of, no
-// appearance as a call argument or method receiver, no capture.
+// never assigned or captured, and every use is the operand of an index
+// expression, a range clause, or len/cap — no address-of, no call
+// argument or receiver, no store of the reference anywhere.
 func (c *allocChecker) readOnlyAfter(obj types.Object, loop ast.Stmt) bool {
-	if c.pre.captured[obj] {
+	if c.pre.captured[obj] || c.pre.assignedIn[loop][obj] {
 		return false
 	}
-	if c.pre.assignedIn[loop][obj] {
-		return false
+	info := c.pass.TypesInfo
+	reads := map[*ast.Ident]bool{}
+	read := func(e ast.Expr) {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			reads[id] = true
+		}
 	}
+	ast.Inspect(loop, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.IndexExpr:
+			read(x.X)
+		case *ast.RangeStmt:
+			read(x.X)
+		case *ast.CallExpr:
+			if bn := builtinName(info, x); (bn == "len" || bn == "cap") && len(x.Args) == 1 {
+				read(x.Args[0])
+			}
+		}
+		return true
+	})
 	ok := true
 	ast.Inspect(loop, func(n ast.Node) bool {
-		if !ok {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.UnaryExpr:
-			if x.Op == token.AND && rootIdent(x.X) != nil && objOf(c.pass.TypesInfo, rootIdent(x.X)) == obj {
-				ok = false
-			}
-		case *ast.CallExpr:
-			if bn := builtinName(c.pass.TypesInfo, x); bn == "len" || bn == "cap" {
-				return true
-			}
-			for _, arg := range x.Args {
-				if id := rootIdent(arg); id != nil && objOf(c.pass.TypesInfo, id) == obj {
-					ok = false
-				}
-			}
-			if sel, isSel := ast.Unparen(x.Fun).(*ast.SelectorExpr); isSel {
-				if id := rootIdent(sel.X); id != nil && objOf(c.pass.TypesInfo, id) == obj {
-					ok = false
-				}
-			}
+		if id, isIdent := n.(*ast.Ident); isIdent && info.Uses[id] == obj && !reads[id] {
+			ok = false
 		}
 		return ok
 	})
@@ -1034,13 +858,8 @@ func (c *allocChecker) lineIndent(pos token.Pos) string {
 	if p.Column <= 1 {
 		return ""
 	}
-	// Reconstruct tabs: gofmt indents with tabs, one per level; column
-	// counts each tab as one. This is exact for gofmt-formatted source.
-	indent := make([]byte, p.Column-1)
-	for i := range indent {
-		indent[i] = '\t'
-	}
-	return string(indent)
+	// gofmt indents with tabs, and a column counts each tab as one.
+	return strings.Repeat("\t", p.Column-1)
 }
 
 // renderExpr prints a simple expression (identifier / selector chain) for
@@ -1077,27 +896,12 @@ func isZeroLit(e ast.Expr) bool {
 	return ok && bl.Kind == token.INT && bl.Value == "0"
 }
 
-func isMapType(t types.Type) bool {
+// isKind reports whether t's underlying type is a T (*types.Map, ...).
+func isKind[T types.Type](t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
-}
-
-func isChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
-func isSliceType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Slice)
+	_, ok := t.Underlying().(T)
 	return ok
 }
 
@@ -1116,39 +920,6 @@ func isByteOrRuneSlice(t types.Type) bool {
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 }
 
-func typeKindLabel(t types.Type) string {
-	if isMapType(t) {
-		return "map"
-	}
-	return "channel"
-}
-
-// typeLabel renders the type of an expression for messages.
-func typeLabel(pass *analysis.Pass, e ast.Expr) string {
-	if t := pass.TypesInfo.TypeOf(e); t != nil {
-		return t.String()
-	}
-	return "value"
-}
-
-// lhsKind names an escaping assignment destination for messages.
-func lhsKind(pass *analysis.Pass, lhs ast.Expr) string {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.TypesInfo.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			return "field " + x.Sel.Name
-		}
-		return "package variable " + x.Sel.Name
-	case *ast.IndexExpr:
-		return "an element"
-	case *ast.StarExpr:
-		return "a pointed-to location"
-	case *ast.Ident:
-		return "package variable " + x.Name
-	}
-	return "a non-local location"
-}
-
 // ---- package passes ----
 
 // hotDecl reports whether fd is a hot root: named in the declaration
@@ -1162,28 +933,8 @@ func (a *alloccheckState) hotDecl(pass *analysis.Pass, fn analysis.Func) bool {
 
 // summarize computes one function's allocation summary.
 func (a *alloccheckState) summarize(pass *analysis.Pass, fn analysis.Func) allocSummary {
-	cfg := pass.CFG(fn.Decl.Body)
-	c := &allocChecker{a: a, pass: pass, body: fn.Decl.Body, reported: map[token.Pos]bool{}}
-	c.prescan(fn.Decl.Body)
+	c := a.newChecker(pass, fn.Decl)
 	c.collect = &allocSummary{}
-	in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
-	analysis.ReplayBlocks(cfg, in, c.transfer)
+	c.check()
 	return *c.collect
-}
-
-// reportPackage replays every hot function with diagnostics enabled.
-func (a *alloccheckState) reportPackage(pass *analysis.Pass) {
-	for _, fn := range pass.Funcs() {
-		if !a.hotDecl(pass, fn) {
-			continue
-		}
-		body := fn.Decl.Body
-		cfg := pass.CFG(body)
-		c := &allocChecker{a: a, pass: pass, body: body, reported: map[token.Pos]bool{}}
-		c.prescan(body)
-		in := analysis.Forward(cfg, newAllocEnv(), c.transfer)
-		c.reporting = true
-		c.reported = map[token.Pos]bool{}
-		analysis.ReplayBlocks(cfg, in, c.transfer)
-	}
 }

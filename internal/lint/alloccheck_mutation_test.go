@@ -13,9 +13,12 @@ import (
 // regressions alloccheck exists to catch: per-tick buffer resets with a
 // fresh make, un-hinted append growth, stray fmt construction, interface
 // boxing of scalars, map allocation inside a drain, a field retaining a
-// per-tick slice, and a deleted //lint:alloc justification resurrecting
-// the finding it covered. One bug per class, spread across the sim, cpu,
-// dram, and cxl layers.
+// per-tick slice, a deleted //lint:alloc justification resurrecting the
+// finding it covered, and the two escapes a hand-built model of the
+// compiler's escape analysis missed: a closure handed to a callee that
+// stores it, and a declared variable whose address escapes. One bug per
+// class, spread across the sim, cpu, dram, cxl and rack layers; the
+// escape cases are caught through the compiler's own -m sites.
 func allocMutations() []concMutation {
 	return []concMutation{
 		{
@@ -24,7 +27,7 @@ func allocMutations() []concMutation {
 			old:      `		s.coreEvents[i] = evs[:0]`,
 			new:      `		s.coreEvents[i] = make([]memEvent, 0)`,
 			patterns: []string{"coaxial/internal/sim"},
-			want:     []string{"escapes (stored into an element)"},
+			want:     []string{"heap allocation in hot path: make([]memEvent, 0) escapes to heap"},
 		},
 		{
 			name: "sim-duecores-append-without-hint",
@@ -142,7 +145,39 @@ func allocMutations() []concMutation {
 				"	dev          *PooledDevice\n\ttraceBuf []int64\n",
 			},
 			patterns: []string{"coaxial/internal/cxl"},
-			want:     []string{"escapes (stored into field traceBuf)"},
+			want:     []string{"heap allocation in hot path: make([]int64, 0) escapes to heap"},
+		},
+		{
+			name: "rack-step-closure-to-storing-callee",
+			file: "internal/rack/rack.go",
+			old: `	for _, s := range rk.hosts {
+		s.TickCycle(next)
+	}`,
+			new: `	rk.each(func(i int) { rk.hosts[i].TickCycle(next) })`,
+			// each keeps its callback in the rack, the way a worker pool
+			// hands work to its threads.
+			second: [2]string{
+				"	measureStart int64\n}\n",
+				"	measureStart int64\n\twork func(int)\n}\n\nfunc (rk *rack) each(f func(int)) {\n\trk.work = f\n\tfor i := range rk.hosts {\n\t\trk.work(i)\n\t}\n}\n",
+			},
+			patterns: []string{"coaxial/internal/rack"},
+			want:     []string{"heap allocation in hot path: func literal escapes to heap"},
+		},
+		{
+			name: "rack-step-declared-var-address-escapes",
+			file: "internal/rack/rack.go",
+			old: `	rk.now = next
+	return next, rk.Done()`,
+			new: `	var phase int64
+	rk.last = &phase
+	rk.now = next
+	return next, rk.Done()`,
+			second: [2]string{
+				"	measureStart int64\n}\n",
+				"	measureStart int64\n\tlast *int64\n}\n",
+			},
+			patterns: []string{"coaxial/internal/rack"},
+			want:     []string{"heap allocation in hot path: moved to heap: phase"},
 		},
 	}
 }
@@ -207,30 +242,31 @@ func TestAllocCheckCapacityHintFix(t *testing.T) {
 	}
 }
 
-// TestAllocCheckHoistFix: a loop-invariant read-only map literal inside a
-// hot loop gets hoisted above the loop.
+// TestAllocCheckHoistFix: a loop-invariant, read-only allocation inside a
+// hot loop gets hoisted above the loop — a map literal, which a syntactic
+// rule reports, and a make the compiler puts on the heap because its size
+// is known only at run time, whose fix is keyed on the compiler's site.
 func TestAllocCheckHoistFix(t *testing.T) {
 	root := mutationRoot(t)
-	m := concMutation{
-		file: "internal/dram/subchannel.go",
-		old: `		arrived = true
-		row, bnk, grp := s.decode(r.Addr)`,
-		new: `		arrived = true
-		prio := map[int]int{0: 1}
-		_ = prio[0]
-		row, bnk, grp := s.decode(r.Addr)`,
-		patterns: []string{"coaxial/internal/dram"},
-	}
-	diags, path, mutated := mutateAndLint(t, root, newAllocCheck(), m)
-	fixed := applyFixFor(t, diags, "map literal always allocates", path, mutated)
-	// The defining statement moves above the loop; its old line empties.
-	hoisted := "prio := map[int]int{0: 1}\n\tfor {"
-	if !strings.Contains(fixed, hoisted) {
-		t.Errorf("hoist fix did not move the allocation above the loop; got:\n%s",
-			excerptAround(fixed, "prio :="))
-	}
-	if strings.Count(fixed, "prio := map[int]int{0: 1}") != 1 {
-		t.Errorf("hoist fix duplicated the allocation:\n%s", excerptAround(fixed, "prio :="))
+	for _, tc := range []struct{ stmt, use, finding string }{
+		{"prio := map[int]int{0: 1}", "_ = prio[0]", "map literal always allocates"},
+		{"window := make([]int64, now)", "_ = len(window)", "make([]int64, now) escapes to heap"},
+	} {
+		m := concMutation{
+			file:     "internal/dram/subchannel.go",
+			old:      "\t\tarrived = true\n\t\trow, bnk, grp := s.decode(r.Addr)",
+			new:      "\t\tarrived = true\n\t\t" + tc.stmt + "\n\t\t" + tc.use + "\n\t\trow, bnk, grp := s.decode(r.Addr)",
+			patterns: []string{"coaxial/internal/dram"},
+		}
+		diags, path, mutated := mutateAndLint(t, root, newAllocCheck(), m)
+		fixed := applyFixFor(t, diags, tc.finding, path, mutated)
+		// The defining statement moves above the loop; its old line empties.
+		if !strings.Contains(fixed, tc.stmt+"\n\tfor {") {
+			t.Errorf("hoist fix did not move %q above the loop; got:\n%s", tc.stmt, excerptAround(fixed, tc.stmt))
+		}
+		if strings.Count(fixed, tc.stmt) != 1 {
+			t.Errorf("hoist fix duplicated %q:\n%s", tc.stmt, excerptAround(fixed, tc.stmt))
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 // dependency order by the Driver. The flow-sensitive analyzers share the
 // rest of their machinery here too: the function walk (Pass.Funcs), the
 // CFG cache (Pass.CFG), the dataflow engine (Forward), and the
-// interprocedural summary fixpoint (Summarize).
+// interprocedural summary fixpoint (Summarize). A driver that compiled the
+// packages also hands every pass the compiler's heap allocation sites
+// (Pass.HeapSites).
 package analysis
 
 import (
@@ -16,6 +18,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -38,6 +41,10 @@ type Analyzer struct {
 	// FactsOnly marks analyzers that never report: they only compute facts
 	// consumed by later analyzers (the driver still runs them everywhere).
 	FactsOnly bool
+	// UsesHeapSites marks analyzers that read Pass.HeapSites, so a driver
+	// that does not compile as a matter of course (the fixture harness)
+	// knows to run the compiler for them.
+	UsesHeapSites bool
 	// Run performs the check on one package.
 	Run func(*Pass) error
 }
@@ -78,10 +85,22 @@ type Pass struct {
 	// out-of-package functions the benefit of the doubt instead of
 	// flagging every unknown call.
 	FactsPartial bool
+	// HeapSites are the heap allocations the compiler's escape analysis
+	// reported for the run's source files, sorted by position; nil when
+	// the driver did not compile them (go vet's tool protocol).
+	HeapSites []HeapSite
 
 	report     func(Diagnostic)
 	directives map[string][]directive  // filename -> directives, line-keyed
 	cfgs       map[*ast.BlockStmt]*CFG // see CFG; a Driver shares one across its run
+}
+
+// HeapSite is one heap allocation the compiler reports under
+// -gcflags=-m: an expression that "escapes to heap" or a variable "moved
+// to heap". Message is the compiler's wording, without the position.
+type HeapSite struct {
+	Pos     token.Pos
+	Message string
 }
 
 // NewPass assembles a pass; report receives every non-suppressed
@@ -261,26 +280,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // directives apply (a suppressed diagnostic's fix is never offered).
 func (p *Pass) ReportWithFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	for _, d := range p.directives[position.Filename] {
-		if d.line != position.Line && !(d.standalone && d.line == position.Line-1) {
-			continue
-		}
-		matched := false
-		if d.name == "ignore" {
-			rest, ok := strings.CutPrefix(d.args+" ", p.Analyzer.Name+" ")
-			if ok {
-				matched = true
-				d.args = strings.TrimSpace(rest)
-			}
-		}
-		for _, dd := range p.Analyzer.Directives {
-			if d.name == dd {
-				matched = true
-			}
-		}
-		if !matched {
-			continue
-		}
+	if d, ok := p.suppression(position); ok {
 		if d.args == "" {
 			p.report(Diagnostic{
 				Pos:      position,
@@ -296,6 +296,35 @@ func (p *Pass) ReportWithFix(pos token.Pos, fix *SuggestedFix, format string, ar
 		Message:  fmt.Sprintf(format, args...),
 		Fix:      fix,
 	})
+}
+
+// Suppressed reports whether a justified suppression directive covers
+// pos, exactly as Reportf decides — for analyzers that fold a finding into
+// a summary instead of reporting it.
+func (p *Pass) Suppressed(pos token.Pos) bool {
+	d, ok := p.suppression(p.Fset.Position(pos))
+	return ok && d.args != ""
+}
+
+// suppression finds the directive naming this analyzer on position's line
+// or standalone above it; an ignore directive's args come back without the
+// analyzer name.
+func (p *Pass) suppression(position token.Position) (directive, bool) {
+	for _, d := range p.directives[position.Filename] {
+		if d.line != position.Line && !(d.standalone && d.line == position.Line-1) {
+			continue
+		}
+		if d.name == "ignore" {
+			if rest, ok := strings.CutPrefix(d.args+" ", p.Analyzer.Name+" "); ok {
+				d.args = strings.TrimSpace(rest)
+				return d, true
+			}
+		}
+		if slices.Contains(p.Analyzer.Directives, d.name) {
+			return d, true
+		}
+	}
+	return directive{}, false
 }
 
 // FactStore holds per-object facts shared across a run. Keys are

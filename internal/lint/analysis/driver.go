@@ -8,14 +8,15 @@ import (
 )
 
 // Driver applies an analyzer suite package by package, imports before
-// importers, sharing one fact store and one CFG cache across the run. The
-// standalone linter, the go vet tool and the fixture harness each drive
-// their packages through one.
+// importers, sharing one fact store, one CFG cache and the compiler's heap
+// sites across the run. The standalone linter, the go vet tool and the
+// fixture harness each drive their packages through one.
 type Driver struct {
 	analyzers    []*Analyzer
 	fset         *token.FileSet
 	modulePath   string
 	factsPartial bool
+	heapSites    []HeapSite
 	facts        *FactStore
 	cfgs         map[*ast.BlockStmt]*CFG
 	// known holds the legitimate //lint: directive names, names the valid
@@ -24,12 +25,12 @@ type Driver struct {
 }
 
 // NewDriver starts a run of the analyzers, in order, over packages parsed
-// into fset. modulePath and factsPartial become every pass's ModulePath
-// and FactsPartial.
-func NewDriver(analyzers []*Analyzer, fset *token.FileSet, modulePath string, factsPartial bool) *Driver {
+// into fset. modulePath, factsPartial and heapSites (sorted by position)
+// become every pass's ModulePath, FactsPartial and HeapSites.
+func NewDriver(analyzers []*Analyzer, fset *token.FileSet, modulePath string, factsPartial bool, heapSites []HeapSite) *Driver {
 	d := &Driver{
 		analyzers: analyzers, fset: fset, modulePath: modulePath, factsPartial: factsPartial,
-		facts: NewFactStore(), cfgs: map[*ast.BlockStmt]*CFG{},
+		heapSites: heapSites, facts: NewFactStore(), cfgs: map[*ast.BlockStmt]*CFG{},
 		known: map[string]bool{"ignore": true}, names: map[string]bool{},
 	}
 	for _, a := range analyzers {
@@ -62,6 +63,7 @@ func (d *Driver) Package(files []*ast.File, pkg *types.Package, info *types.Info
 			}
 		})
 		pass.FactsPartial = d.factsPartial
+		pass.HeapSites = d.heapSites
 		pass.cfgs = d.cfgs
 		if err := a.Run(pass); err != nil {
 			return nil, err

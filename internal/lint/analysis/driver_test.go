@@ -31,7 +31,7 @@ func runDriver(t *testing.T, srcs []string, edit func(*types.Info), analyzers ..
 	if edit != nil {
 		edit(info)
 	}
-	_, err = NewDriver(analyzers, fset, "", false).Package(files, pkg, info, true)
+	_, err = NewDriver(analyzers, fset, "", false, nil).Package(files, pkg, info, true)
 	return err
 }
 

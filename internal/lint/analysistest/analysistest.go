@@ -8,6 +8,11 @@
 // src/time provides the `time` package its siblings import — stubs, not
 // the real stdlib). Every loaded package is analyzed, stubs included: a
 // stub that provokes a diagnostic without a matching want fails the test.
+//
+// When an analyzer reads the compiler's heap sites (UsesHeapSites), the
+// harness also compiles the fixture packages once with -gcflags=-m. The
+// go command resolves imports itself, so such fixtures must import the
+// real standard library rather than stubs of it.
 package analysistest
 
 import (
@@ -18,14 +23,17 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"coaxial/internal/lint/analysis"
+	"coaxial/internal/lint/loader"
 )
 
 // Run loads the fixture package at dir/src/<pkgPath> (plus everything it
@@ -99,7 +107,11 @@ func analyze(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgPath s
 	if _, err := l.load(pkgPath); err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
-	drv := analysis.NewDriver(analyzers, l.fset, "", false)
+	var sites []analysis.HeapSite
+	if slices.ContainsFunc(analyzers, func(a *analysis.Analyzer) bool { return a.UsesHeapSites }) {
+		sites = l.heapSites(t, pkgPath)
+	}
+	drv := analysis.NewDriver(analyzers, l.fset, "", false, sites)
 	var diags []analysis.Diagnostic
 	for _, pkg := range l.order {
 		found, err := drv.Package(pkg.files, pkg.types, pkg.info, true)
@@ -245,6 +257,38 @@ func (l *fixtureLoader) load(path string) (*fixturePkg, error) {
 	l.pkgs[path] = pkg
 	l.order = append(l.order, pkg)
 	return pkg, nil
+}
+
+// heapSites compiles the fixture package pkgPath in GOPATH mode — the
+// layout the fixture tree already has — with the compiler's escape
+// analysis on for the loaded fixture packages alone, so the standard
+// library comes from the build cache unchanged, and parses the heap sites
+// it reports with the loader's parser.
+func (l *fixtureLoader) heapSites(t *testing.T, pkgPath string) []analysis.HeapSite {
+	t.Helper()
+	gopath, err := filepath.Abs(filepath.Dir(l.root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"build"}
+	var files []*ast.File
+	for _, pkg := range l.order {
+		args = append(args, "-gcflags="+pkg.path+"=-m")
+		files = append(files, pkg.files...)
+	}
+	cmd := exec.Command("go", append(args, pkgPath)...)
+	cmd.Dir = gopath
+	cmd.Env = append(os.Environ(), "GO111MODULE=off", "GOPATH="+gopath, "GOFLAGS=")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("compiling fixture %s: %v\n%s", pkgPath, err, stderr.String())
+	}
+	sites, err := loader.ParseHeapSites(stderr.String(), gopath, l.fset, files)
+	if err != nil {
+		t.Fatalf("compiling fixture %s: %v", pkgPath, err)
+	}
+	return sites
 }
 
 // importFixture resolves an import: fixture tree first, real stdlib export

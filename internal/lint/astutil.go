@@ -163,13 +163,6 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
-// typeDeclaredIn reports whether t (after unwrapping pointers) is a named
-// type declared in a package whose import path is in paths.
-func typeDeclaredIn(t types.Type, paths map[string]bool) bool {
-	named := namedOf(t)
-	return named != nil && named.Obj().Pkg() != nil && paths[named.Obj().Pkg().Path()]
-}
-
 // pathPrefixes reports whether path matches any scope entry: equal to it or
 // nested beneath it.
 func pathPrefixes(path string, scope []string) bool {

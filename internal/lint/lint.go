@@ -77,10 +77,10 @@ func Suite() []*analysis.Analyzer {
 }
 
 // Run executes the analyzers over a loaded program in dependency order,
-// sharing one fact store, and returns the diagnostics of target packages
-// sorted by position.
+// sharing one fact store and the compiler's heap sites, and returns the
+// diagnostics of target packages sorted by position.
 func Run(prog *loader.Program, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	drv := analysis.NewDriver(analyzers, prog.Fset, prog.ModulePath, false)
+	drv := analysis.NewDriver(analyzers, prog.Fset, prog.ModulePath, false, prog.HeapSites)
 	var diags []analysis.Diagnostic
 	for _, pkg := range prog.Packages {
 		found, err := drv.Package(pkg.Files, pkg.Types, pkg.Info, pkg.Target)

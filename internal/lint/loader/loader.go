@@ -5,7 +5,10 @@
 // objects and find them again from importing packages), while standard
 // library dependencies are imported from the toolchain's export data — the
 // same data the compiler uses — which needs no network and no source
-// type-checking.
+// type-checking. Producing that export data compiles the module, and the
+// same go list call asks the compiler for its escape analysis
+// (-gcflags=<module>/...=-m), so the program also carries every heap
+// allocation site the compiler reports in module code.
 package loader
 
 import (
@@ -23,6 +26,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+
+	"coaxial/internal/lint/analysis"
 )
 
 // Package is one type-checked module package.
@@ -47,6 +52,9 @@ type Program struct {
 	// Packages holds the module packages in dependency order (imports
 	// before importers).
 	Packages []*Package
+	// HeapSites are the heap allocations the compiler reported in the
+	// packages' files, sorted by position (see ParseHeapSites).
+	HeapSites []analysis.HeapSite
 }
 
 // PackageError is one package that failed to load or build. Pos, when
@@ -148,14 +156,18 @@ func Load(dir string, patterns ...string) (*Program, error) {
 }
 
 // LoadOverlay is Load with file substitution: files whose absolute path
-// appears in overlay are parsed from the given contents instead of disk.
-// The package set and build metadata still come from `go list` over the
-// on-disk tree, so an overlay can change file contents (the mutation suite
-// plants dimension bugs this way) but not add or remove files. Overlay
-// contents may add imports freely as long as the imported packages are
-// already in the dependency closure of the listed patterns.
+// appears in overlay are read from the given contents instead of disk, by
+// the parser and by go list (-overlay), so the package metadata, export
+// data and compiler sites all describe the substituted tree while every
+// position keeps the on-disk file name. An overlay can change file
+// contents (the mutation suites plant bugs this way) but not add or remove
+// files.
 func LoadOverlay(dir string, overlay map[string][]byte, patterns ...string) (*Program, error) {
-	modulePath, err := goOutput(dir, "list", "-m", "-f", "{{.Path}}")
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("loader: %w", err)
+	}
+	modulePath, _, err := goCommand(dir, "list", "-m", "-f", "{{.Path}}")
 	if err != nil {
 		return nil, fmt.Errorf("loader: resolving module: %w", err)
 	}
@@ -163,9 +175,23 @@ func LoadOverlay(dir string, overlay map[string][]byte, patterns ...string) (*Pr
 
 	// -e keeps go list alive across broken packages so every failure in
 	// the pattern set is reported below, each with its package path and
-	// (when known) file position — not just the first.
-	args := append([]string{"list", "-e", "-deps", "-export", "-json"}, patterns...)
-	out, err := goOutput(dir, args...)
+	// (when known) file position — not just the first. -m makes the
+	// compile that -export runs anyway print its escape analysis on
+	// stderr (replayed from the build cache when nothing changed).
+	args := []string{"list", "-e", "-deps", "-export", "-json", "-gcflags=" + modulePath + "/...=-m"}
+	// Compile errors name an overlaid file by its substitute; unsubstitute
+	// maps those names back to the on-disk file.
+	unsubstitute := strings.NewReplacer()
+	if len(overlay) > 0 {
+		flag, subs, cleanup, err := writeOverlay(overlay)
+		if err != nil {
+			return nil, fmt.Errorf("loader: %w", err)
+		}
+		defer cleanup()
+		args = append(args, flag)
+		unsubstitute = strings.NewReplacer(subs...)
+	}
+	out, compiler, err := goCommand(dir, append(args, patterns...)...)
 	if err != nil {
 		return nil, fmt.Errorf("loader: go list: %w", err)
 	}
@@ -209,6 +235,7 @@ func LoadOverlay(dir string, overlay map[string][]byte, patterns ...string) (*Pr
 	var loadErrs []error
 	seenErr := map[string]bool{}
 	addErr := func(pe *PackageError) {
+		pe.Pos, pe.Err = unsubstitute.Replace(pe.Pos), unsubstitute.Replace(pe.Err)
 		key := pe.ImportPath + "\x00" + pe.Pos + "\x00" + pe.Err
 		if !seenErr[key] {
 			seenErr[key] = true
@@ -245,7 +272,45 @@ func LoadOverlay(dir string, overlay map[string][]byte, patterns ...string) (*Pr
 	if len(loadErrs) > 0 {
 		return nil, fmt.Errorf("loader: %w", errors.Join(loadErrs...))
 	}
+	var files []*ast.File
+	for _, pkg := range prog.Packages {
+		files = append(files, pkg.Files...)
+	}
+	if prog.HeapSites, err = ParseHeapSites(compiler, dir, prog.Fset, files); err != nil {
+		return nil, fmt.Errorf("loader: go list -gcflags=-m: %w", err)
+	}
 	return prog, nil
+}
+
+// writeOverlay writes the overlay contents, and the go command's -overlay
+// file mapping their on-disk paths to them, into a temporary directory. It
+// returns the flag, substitute/original path pairs, and a cleanup that
+// removes the directory.
+func writeOverlay(overlay map[string][]byte) (flag string, subs []string, cleanup func(), err error) {
+	tmp, err := os.MkdirTemp("", "coaxlint-overlay-")
+	if err != nil {
+		return "", nil, nil, err
+	}
+	cleanup = func() { os.RemoveAll(tmp) }
+	replace := map[string]string{}
+	for path, content := range overlay {
+		sub := filepath.Join(tmp, fmt.Sprintf("%d-%s", len(replace), filepath.Base(path)))
+		replace[path] = sub
+		subs = append(subs, sub, path)
+		if err = os.WriteFile(sub, content, 0o644); err != nil {
+			break
+		}
+	}
+	spec := filepath.Join(tmp, "overlay.json")
+	if err == nil {
+		data, _ := json.Marshal(map[string]any{"Replace": replace}) // strings only: cannot fail
+		err = os.WriteFile(spec, data, 0o644)
+	}
+	if err != nil {
+		cleanup()
+		return "", nil, nil, err
+	}
+	return "-overlay=" + spec, subs, cleanup, nil
 }
 
 // typeCheck parses and checks one module package from source.
@@ -319,15 +384,15 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// goOutput runs the go command in dir and returns its stdout.
-func goOutput(dir string, args ...string) (string, error) {
+// goCommand runs the go command in dir and returns its stdout and stderr.
+func goCommand(dir string, args ...string) (string, string, error) {
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr strings.Builder
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return "", fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+		return "", "", fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
-	return string(out), nil
+	return string(out), stderr.String(), nil
 }

@@ -2,6 +2,7 @@ package loader
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,8 +67,8 @@ func AlsoBroken() int { return }
 }
 
 // TestLoadOverlayParseError breaks a good on-disk file via the overlay:
-// go list still sees a healthy tree, so the parse failure must be shaped
-// into a positioned per-package error by the loader itself.
+// the failure must come back as a positioned per-package error naming the
+// on-disk file, not the overlay's substitute for it.
 func TestLoadOverlayParseError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list")
@@ -94,13 +95,14 @@ func Fine() int { return 1 }
 	if pe.ImportPath != "overlaymod/p" {
 		t.Errorf("PackageError.ImportPath = %q, want overlaymod/p", pe.ImportPath)
 	}
-	if !strings.Contains(pe.Pos, "p.go:") {
-		t.Errorf("PackageError.Pos = %q, want a p.go position", pe.Pos)
+	if want := filepath.Join(dir, "p", "p.go") + ":"; !strings.HasPrefix(pe.Pos, want) {
+		t.Errorf("PackageError.Pos = %q, want a position in %s", pe.Pos, want)
 	}
 }
 
 // TestLoadHealthyModule guards the non-error path: a clean module loads
-// with its packages in dependency order and no error.
+// with its packages in dependency order, no error, and the compiler's heap
+// sites from the same go list call.
 func TestLoadHealthyModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to go list")
@@ -115,7 +117,9 @@ const N = 3
 
 import "cleanmod/a"
 
-func M() int { return a.N * 2 }
+var sink *int
+
+func M() int { x := a.N * 2; sink = &x; return x }
 `,
 	})
 
@@ -133,5 +137,13 @@ func M() int { return a.N * 2 }
 	got := strings.Join(paths, ",")
 	if got != "cleanmod/a,cleanmod/b" {
 		t.Errorf("packages = %s, want cleanmod/a,cleanmod/b (deps before importers)", got)
+	}
+	var sites []string
+	for _, s := range prog.HeapSites {
+		sites = append(sites, fmt.Sprintf("%s: %s", prog.Fset.Position(s.Pos), s.Message))
+	}
+	want := filepath.Join(dir, "b", "b.go") + ":7:16: moved to heap: x"
+	if len(sites) != 1 || sites[0] != want {
+		t.Errorf("heap sites = %q, want [%q]", sites, want)
 	}
 }

@@ -169,9 +169,9 @@ func handleMutations() []concMutation {
 		{
 			name: "sim-complete-release-before-measuring",
 			file: "internal/sim/system.go",
-			old: `	s.wakeCore(slot, s.now+1)
+			old: `	s.wakeCore(core, s.now+1)
 	s.fillFromMemory(core, line, dirty, now)`,
-			new: `	s.wakeCore(slot, s.now+1)
+			new: `	s.wakeCore(core, s.now+1)
 	s.fillFromMemory(core, line, dirty, now)
 	s.arena.Release(r)`,
 			patterns: []string{"coaxial/internal/sim"},

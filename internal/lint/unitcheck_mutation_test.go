@@ -98,10 +98,13 @@ func unitMutations() []concMutation {
 			want:     []string{"return of bytes/cycle: GBs is declared to return GB/s"},
 		},
 		{
-			name:     "calm-peak-conversion-dropped",
-			file:     "internal/calm/regulated.go",
-			old:      "peakBytesCyc: clock.BytesPerCycle(peakGBs),",
-			new:      "peakBytesCyc: peakGBs,",
+			name: "calm-peak-conversion-dropped",
+			file: "internal/calm/regulated.go",
+			old:  "peakBytesCyc: clock.BytesPerCycle(peakGBs),",
+			new:  "peakBytesCyc: peakGBs,",
+			// The dropped call was the file's only use of clock; the
+			// import goes with it so the mutated package still compiles.
+			second:   [2]string{"\t\"coaxial/internal/clock\"\n", ""},
 			patterns: []string{"coaxial/internal/calm"},
 			want:     []string{"declared bytes/cycle, got GB/s"},
 		},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"coaxial/internal/cxl"
@@ -109,6 +110,50 @@ func TestRackStepAllocFree(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(2_000, func() { rk.Step(limit) }); allocs != 0 {
 				t.Errorf("warm rack Step allocated %v objects per call, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestRackSaturatedStretchAllocs counts every allocation over a 20k-step
+// stretch of a warm 4-host pooled rack, whose ports stall at the shared
+// devices' DDR queues. A step that allocates only now and then averages
+// to 0 in AllocsPerRun's per-step integer count; the stretch total does
+// not. Popping the stalled FIFO must not shed its backing array (~335
+// allocations per stretch when it did, ~10 after).
+func TestRackSaturatedStretchAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a 4-host rack 120k times per clocking")
+	}
+	wls := make([][]trace.Workload, 4)
+	for h := range wls {
+		wls[h] = trace.RackMix(h%4, 12)
+	}
+	for _, mode := range []struct {
+		name string
+		m    sim.Clocking
+	}{{"event", sim.EventDriven}, {"cycle", sim.CycleByCycle}} {
+		t.Run(mode.name, func(t *testing.T) {
+			rc := testRC()
+			rc.Clocking = mode.m
+			rk, err := build(pooledRack(4), wls, rc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rk.SetTarget(math.MaxUint64)
+			limit := rk.Now() + 1<<40
+			for i := 0; i < 100_000; i++ {
+				rk.Step(limit)
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 20_000; i++ {
+				rk.Step(limit)
+			}
+			runtime.ReadMemStats(&after)
+			if allocs := after.Mallocs - before.Mallocs; allocs > 50 {
+				t.Errorf("20k warm steps of a saturated 4-host rack allocated %d objects, want at most 50", allocs)
 			}
 		})
 	}

@@ -472,7 +472,7 @@ func (s *System) accessLLC(core int, ev *memEvent) bool {
 		// Release the MSHR the core parked this access in; same-cycle
 		// stores to the line merged into it, so the pending entry's dirty
 		// bit subsumes ev.store.
-		dirty := s.cores[coreSlot(s, core)].ResolveMiss(line, when)
+		dirty := s.cores[core].ResolveMiss(line, when)
 		s.installPrivate(core, line, dirty, when)
 		if doCALM {
 			// False positive: the concurrent memory request was already
@@ -561,14 +561,13 @@ func (s *System) Complete(r *memreq.Request, now int64) {
 		when = r.AckAt
 	}
 
-	slot := coreSlot(s, core)
-	dirty := s.cores[slot].ResolveMiss(line, when)
+	dirty := s.cores[core].ResolveMiss(line, when)
 	// The fill may unblock the core (MSHR freed, ROB head completion
 	// scheduled): make sure it ticks next cycle, whatever its cached
 	// NextEvent said. Complete always runs in the backend phase of cycle
 	// s.now, after the cores ticked, so s.now+1 is the first cycle the
 	// core could observe the fill — exactly as in cycle-by-cycle mode.
-	s.wakeCore(slot, s.now+1)
+	s.wakeCore(core, s.now+1)
 	s.fillFromMemory(core, line, dirty, now)
 
 	if s.measuring {
@@ -584,10 +583,6 @@ func (s *System) Complete(r *memreq.Request, now int64) {
 	// checker released its tracking above), so recycle the slot.
 	s.arena.Release(r)
 }
-
-// coreSlot maps a core ID to its index in s.cores (identical while
-// inactive cores are always the trailing ones).
-func coreSlot(s *System, id int) int { return id }
 
 // fillFromMemory installs a returning line in the LLC and private levels.
 func (s *System) fillFromMemory(core int, line uint64, dirty bool, now int64) {
