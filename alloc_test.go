@@ -2,16 +2,20 @@ package coaxial
 
 import (
 	"context"
+	"runtime"
 	"testing"
 )
 
-// TestLoadedWindowAllocBudget pins the steady-state allocation count of a
-// warm loaded experiment window (the BenchmarkRunWindowLoaded configuration:
-// 12 cores, COAXIAL-4x, mix 3). With the request arena recycling memory
-// requests and the SoA hot state reused across windows, a warm window
-// allocates on the order of 1k objects (system construction and cache
-// cloning); the budget below is an order-of-magnitude tripwire for
-// reintroduced per-request or per-cycle allocation, not a tight bound.
+// TestLoadedWindowAllocBudget pins the steady-state allocation of a warm
+// loaded experiment window (the BenchmarkRunWindowLoaded configuration:
+// 12 cores, COAXIAL-4x, mix 3), in objects and in bytes. With the request
+// arena recycling memory requests and the SoA hot state reused across
+// windows, a warm window allocates on the order of 1k objects (system
+// construction and cloning the warm cache hierarchy once). The object
+// budget is an order-of-magnitude tripwire for reintroduced per-request or
+// per-cycle allocation, not a tight bound; the byte budget catches a
+// second cache hierarchy per window (COAXIAL-4x's is 2.4 MB at 8 bytes
+// per way).
 func TestLoadedWindowAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-window run in -short mode")
@@ -25,17 +29,29 @@ func TestLoadedWindowAllocBudget(t *testing.T) {
 	if _, err := r.RunMix(ctx, cfg, wl); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(3, func() {
+	const windows = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < windows; i++ {
 		if _, err := r.RunMix(ctx, cfg, wl); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// Observed ~1.1k on a warm window with alloccheck-clean hot paths;
-	// 2k leaves headroom for cache-clone jitter while still tripping on
-	// any reintroduced per-request allocation (60k requests/window).
-	const budget = 2_000
-	if allocs > budget {
-		t.Errorf("warm loaded window allocated %.0f objects, budget %d", allocs, budget)
 	}
-	t.Logf("warm loaded window: %.0f allocs (budget %d)", allocs, budget)
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / windows
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / windows / 1e6
+	// Observed ~950 objects and ~2.7 MB on a warm window with
+	// alloccheck-clean hot paths. 2k objects leaves headroom for
+	// cache-clone jitter while still tripping on any reintroduced
+	// per-request allocation (60k requests/window); 4 MB trips on a
+	// hierarchy built only to be overwritten by the clones (7.6 MB).
+	const budget, budgetMB = 2_000, 4.0
+	if allocs > budget {
+		t.Errorf("warm loaded window allocated %d objects, budget %d", allocs, budget)
+	}
+	if mb > budgetMB {
+		t.Errorf("warm loaded window allocated %.2f MB, budget %.0f MB", mb, budgetMB)
+	}
+	t.Logf("warm loaded window: %d allocs (budget %d), %.2f MB (budget %.0f MB)", allocs, budget, mb, budgetMB)
 }

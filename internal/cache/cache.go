@@ -20,12 +20,12 @@ type Config struct {
 	LatencyCycles int64
 }
 
-// Way metadata is split into two parallel set-major arrays so the tag-match
-// scan — the inner loop of every access — touches 8 bytes per way instead
-// of a 16-byte struct. tags packs the line address with the state bits
-// (tag<<2 | dirty<<1 | valid; an invalid way is stored as 0), and stamps
-// holds the LRU clock, which is only read when a full set must choose a
-// victim and only written on the matched way.
+// Way metadata is one set-major word per way: the line address packed
+// with the state bits (tag<<2 | dirty<<1 | valid; an invalid way is 0).
+// Each set keeps its ways in recency order: way 0 is the most recently
+// used, the valid ways form a prefix, and the last valid way is the LRU
+// way. A hit or a fill moves its way to the front, so replacement needs no
+// second array and no scan: a full set evicts its last way.
 const (
 	tagValid uint64 = 1 << 0
 	tagDirty uint64 = 1 << 1
@@ -35,15 +35,11 @@ const (
 // Cache is a single set-associative write-back, write-allocate cache with
 // per-set LRU replacement.
 type Cache struct {
-	cfg    Config
-	sets   int
-	mask   uint64
-	tags   []uint64 // sets*assoc, set-major: tag<<2 | dirty<<1 | valid
-	stamps []uint32 // sets*assoc, set-major: LRU clock at last touch
-	clock  uint32
-	stats  Stats
-	shift  uint // additional index shift above the line offset
-	hasher bool // XOR-fold high bits into the index (for shared LLC slices)
+	cfg   Config
+	sets  int
+	mask  uint64
+	tags  []uint64 // sets*assoc, set-major, each set MRU first: tag<<2 | dirty<<1 | valid
+	stats Stats
 }
 
 // Stats counts cache activity.
@@ -72,11 +68,10 @@ func New(cfg Config) *Cache {
 		panic("cache: set count must be a power of two")
 	}
 	return &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		mask:   uint64(sets - 1),
-		tags:   make([]uint64, sets*cfg.Assoc),
-		stamps: make([]uint32, sets*cfg.Assoc),
+		cfg:  cfg,
+		sets: sets,
+		mask: uint64(sets - 1),
+		tags: make([]uint64, sets*cfg.Assoc),
 	}
 }
 
@@ -85,7 +80,6 @@ func New(cfg Config) *Cache {
 func (c *Cache) Clone() *Cache {
 	d := *c
 	d.tags = append([]uint64(nil), c.tags...)
-	d.stamps = append([]uint32(nil), c.stamps...)
 	return &d
 }
 
@@ -120,31 +114,35 @@ func (c *Cache) Lookup(addr uint64, markDirty bool) bool {
 	tags := c.tags[base : base+c.cfg.Assoc]
 	want := la<<tagShift | tagValid
 	c.stats.Accesses++
-	for i := range tags {
-		if tags[i]&^tagDirty == want {
-			c.clock++
-			c.stamps[base+i] = c.clock
+	for i, t := range tags {
+		if t&^tagDirty == want {
 			if markDirty {
-				tags[i] |= tagDirty
+				t |= tagDirty
 			}
+			toFront(tags, i, t)
 			c.stats.Hits++
 			return true
+		}
+		if t == 0 {
+			break
 		}
 	}
 	c.stats.Misses++
 	return false
 }
 
-// Probe checks residency without updating LRU or counters (used by the
-// ideal CALM oracle).
+// Probe checks residency without updating LRU or counters.
 func (c *Cache) Probe(addr uint64) bool {
 	la := addr >> memreq.LineShift
 	base := c.setBase(la)
 	tags := c.tags[base : base+c.cfg.Assoc]
 	want := la<<tagShift | tagValid
-	for i := range tags {
-		if tags[i]&^tagDirty == want {
+	for _, t := range tags {
+		if t&^tagDirty == want {
 			return true
+		}
+		if t == 0 {
+			break
 		}
 	}
 	return false
@@ -166,41 +164,30 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 	tags := c.tags[base : base+c.cfg.Assoc]
 	want := la<<tagShift | tagValid
 	c.stats.Fills++
+	t := want
+	if dirty {
+		t |= tagDirty
+	}
 
-	// Tag pass: refresh if already present (e.g. a racing fill), otherwise
-	// remember the first invalid way. The stamp array is only consulted when
-	// every way is valid and a victim must be chosen.
-	inv := -1
-	for i := range tags {
-		t := tags[i]
-		if t&^tagDirty == want {
-			c.clock++
-			c.stamps[base+i] = c.clock
-			if dirty {
-				tags[i] |= tagDirty
-			}
+	// One pass: refresh the line if already present (e.g. a racing fill),
+	// merging the dirty bit; otherwise stop at the first invalid way. If
+	// the set is full, the last way is the LRU one.
+	vi := len(tags) - 1
+	for i, old := range tags {
+		if old&^tagDirty == want {
+			toFront(tags, i, old|t)
 			return Victim{}
 		}
-		if t&tagValid == 0 && inv < 0 {
-			inv = i
+		if old == 0 {
+			vi = i
+			break
 		}
 	}
 	var out Victim
-	vi := inv
-	if vi < 0 {
-		// Full set: evict the LRU way (first way with the minimal stamp).
-		stamps := c.stamps[base : base+c.cfg.Assoc]
-		vi = 0
-		oldest := stamps[0]
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < oldest {
-				oldest = stamps[i]
-				vi = i
-			}
-		}
+	if old := tags[vi]; old != 0 {
 		out = Victim{
-			Addr:  tags[vi] >> tagShift << memreq.LineShift,
-			Dirty: tags[vi]&tagDirty != 0,
+			Addr:  old >> tagShift << memreq.LineShift,
+			Dirty: old&tagDirty != 0,
 			Valid: true,
 		}
 		if out.Dirty {
@@ -209,14 +196,15 @@ func (c *Cache) Fill(addr uint64, dirty bool) Victim {
 			c.stats.CleanEvict++
 		}
 	}
-	c.clock++
-	t := want
-	if dirty {
-		t |= tagDirty
-	}
-	tags[vi] = t
-	c.stamps[base+vi] = c.clock
+	toFront(tags, vi, t)
 	return out
+}
+
+// toFront makes t the set's most recently used way, in place of way i:
+// ways 0..i-1 each move one place back.
+func toFront(tags []uint64, i int, t uint64) {
+	copy(tags[1:i+1], tags[:i])
+	tags[0] = t
 }
 
 // Touch reads addr's set without mutating anything, one word per 64 bytes
@@ -233,21 +221,4 @@ func (c *Cache) Touch(addr uint64) uint64 {
 		x += tags[i]
 	}
 	return x
-}
-
-// Invalidate removes addr if present, returning whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	la := addr >> memreq.LineShift
-	base := c.setBase(la)
-	tags := c.tags[base : base+c.cfg.Assoc]
-	want := la<<tagShift | tagValid
-	for i := range tags {
-		if tags[i]&^tagDirty == want {
-			d := tags[i]&tagDirty != 0
-			tags[i] = 0
-			c.stamps[base+i] = 0
-			return true, d
-		}
-	}
-	return false, false
 }

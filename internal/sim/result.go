@@ -193,7 +193,7 @@ func runGens(ctx context.Context, cfg Config, gens []trace.Generator, hints []tr
 	if err := rc.CheckWindows(); err != nil {
 		return Result{}, err
 	}
-	sys, err := newSystemGens(cfg, gens, hints, HostParams{})
+	sys, err := newSystemGens(cfg, gens, hints, HostParams{}, nil)
 	if err != nil {
 		return Result{}, err
 	}

@@ -87,9 +87,7 @@ type System struct {
 	mesh noc.Mesh
 
 	cores []*cpu.Core
-	l1    []*cache.Cache
-	l2    []*cache.Cache
-	llc   *cache.LLC
+	hierarchy
 
 	backends  []ExternalBackend
 	portTiles []noc.Tile
@@ -195,6 +193,37 @@ type System struct {
 	now int64
 }
 
+// hierarchy is the cache metadata of one simulated point: per-core private
+// L1 and L2, and the shared LLC.
+type hierarchy struct {
+	l1, l2 []*cache.Cache
+	llc    *cache.LLC
+}
+
+// newHierarchy builds cfg's caches, empty.
+func newHierarchy(cfg Config) hierarchy {
+	h := hierarchy{llc: cache.NewLLC(cfg.Cores, cfg.LLCSliceBytes, cfg.LLCAssoc, cfg.LLCLatency)}
+	for i := 0; i < cfg.Cores; i++ {
+		h.l1 = append(h.l1, cache.New(cfg.L1))
+		h.l2 = append(h.l2, cache.New(cfg.L2))
+	}
+	return h
+}
+
+// clone returns an independent deep copy of every cache (see Cache.Clone).
+func (h hierarchy) clone() hierarchy {
+	d := hierarchy{
+		l1:  make([]*cache.Cache, len(h.l1)),
+		l2:  make([]*cache.Cache, len(h.l2)),
+		llc: h.llc.Clone(),
+	}
+	for i := range h.l1 {
+		d.l1[i] = h.l1[i].Clone()
+		d.l2[i] = h.l2[i].Clone()
+	}
+	return d
+}
+
 // HostParams identifies a System's place in a multi-host topology. The
 // zero value is a standalone single-host system.
 type HostParams struct {
@@ -226,7 +255,7 @@ func NewHostSystem(cfg Config, workloads []trace.Workload, seed uint64, hp HostP
 	if err != nil {
 		return nil, err
 	}
-	return newSystemGens(cfg, gens, hints, hp)
+	return newSystemGens(cfg, gens, hints, hp, nil)
 }
 
 // synthetic builds the per-core synthetic generators for workloads, with
@@ -250,8 +279,10 @@ func synthetic(cfg Config, workloads []trace.Workload, seed uint64, hp HostParam
 // (synthetic, or e.g. recorded trace replays). hints, when non-nil,
 // supplies per-core workload parameters used for LLC pre-fill and the
 // dispatch-rate cap; nil skips pre-fill (then the trace itself must carry
-// enough warmup).
-func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp HostParams) (*System, error) {
+// enough warmup). caches is the hierarchy the system runs on: a warm
+// snapshot's clones (NewWarmSystem), or nil to build cfg's caches empty
+// once cfg is known to be valid.
+func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp HostParams, caches *hierarchy) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -275,8 +306,11 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 		hostID:     int16(hp.Index),
 		addrOffset: hp.AddrOffset,
 	}
-
-	s.llc = cache.NewLLC(cfg.Cores, cfg.LLCSliceBytes, cfg.LLCAssoc, cfg.LLCLatency)
+	if caches != nil {
+		s.hierarchy = *caches
+	} else {
+		s.hierarchy = newHierarchy(cfg)
+	}
 
 	// Memory backends and their mesh-perimeter port placement.
 	systemSubs := cfg.Channels * cfg.DDR.SubChannels
@@ -303,8 +337,6 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 
 	for i := 0; i < cfg.Cores; i++ {
 		s.coreTiles = append(s.coreTiles, cfg.Mesh.CoreTile(i))
-		s.l1 = append(s.l1, cache.New(cfg.L1))
-		s.l2 = append(s.l2, cache.New(cfg.L2))
 	}
 	for i := 0; i < active; i++ {
 		ipcCap := 0.0

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"coaxial/internal/cache"
 	"coaxial/internal/trace"
 )
 
@@ -22,8 +21,7 @@ type WarmState struct {
 	workloads []trace.Workload
 	hints     []trace.Params
 	gens      []trace.Generator
-	l1, l2    []*cache.Cache
-	llc       *cache.LLC
+	caches    hierarchy
 	seed      uint64
 	fw        uint64
 	geom      string
@@ -107,9 +105,7 @@ func CaptureWarmHost(cfg Config, workloads []trace.Workload, rc RunConfig, hp Ho
 		workloads: append([]trace.Workload(nil), workloads...),
 		hints:     sys.prefillHints,
 		gens:      make([]trace.Generator, len(sys.cores)),
-		l1:        sys.l1,
-		l2:        sys.l2,
-		llc:       sys.llc,
+		caches:    sys.hierarchy,
 		seed:      rc.Seed,
 		fw:        rc.functionalInstr(),
 		geom:      warmGeometry(cfg),
@@ -163,15 +159,11 @@ func NewWarmSystem(cfg Config, ws *WarmState, rc RunConfig, hp HostParams) (*Sys
 	for i, g := range ws.gens {
 		gens[i] = g.(trace.Cloner).Clone()
 	}
-	sys, err := newSystemGens(cfg, gens, ws.hints, hp)
+	caches := ws.caches.clone()
+	sys, err := newSystemGens(cfg, gens, ws.hints, hp, &caches)
 	if err != nil {
 		return nil, err
 	}
 	sys.Configure(rc)
-	for i := range sys.l1 {
-		sys.l1[i] = ws.l1[i].Clone()
-		sys.l2[i] = ws.l2[i].Clone()
-	}
-	sys.llc = ws.llc.Clone()
 	return sys, nil
 }
