@@ -150,13 +150,3 @@ func (c *Channel) Tick(now int64) {
 func (c *Channel) NextEvent(now int64) int64 {
 	return min(c.Port.NextEvent(now), c.dev.NextEvent(now))
 }
-
-// ForEachPending visits every request inside the channel: the port's
-// queues, then the device's DDR controllers. For validation walks; fn must
-// not mutate the channel.
-func (c *Channel) ForEachPending(fn func(*memreq.Request)) {
-	c.Port.ForEachPending(fn)
-	for _, d := range c.dev.ddr {
-		d.ForEachPending(fn)
-	}
-}

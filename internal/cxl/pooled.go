@@ -123,9 +123,6 @@ func (d *PooledDevice) attach(p *Port, link LinkParams, ingressDepth, host int) 
 	}
 }
 
-// Ports returns the attached ports in arbitration order.
-func (d *PooledDevice) Ports() []*Port { return d.ports }
-
 // DDR exposes the device's DDR channels (validation taps and tests).
 func (d *PooledDevice) DDR() []*dram.Channel { return d.ddr }
 
@@ -329,9 +326,6 @@ type Port struct {
 	readBytes, writeBytes uint64
 	now                   int64 //lint:unit cycles
 }
-
-// Host returns the attached host's index.
-func (p *Port) Host() int { return p.host }
 
 // Device returns the pool device this port feeds.
 func (p *Port) Device() *PooledDevice { return p.dev }
@@ -579,10 +573,10 @@ func (p *Port) IngressDepth() int { return p.ingressDepth }
 
 // ForEachPending visits every request currently inside this port: awaiting
 // the TX link, in flight to the device, stalled on DDR backpressure, or
-// traversing back on the response path. Requests inside the shared DDR
-// controllers are not included — the rack walks each device's DDR once and
-// dispatches by Request.Host, so no request is visited twice when a host
-// has several ports on one device.
+// traversing back on the response path. Requests inside the device's DDR
+// controllers are not included: the owning system walks each device it
+// reaches once, keeping its own requests by Request.Host, so no request is
+// visited twice when a host has several ports on one device.
 func (p *Port) ForEachPending(fn func(*memreq.Request)) {
 	p.ingress.ForEach(fn)
 	p.deviceQ.ForEach(fn)

@@ -127,7 +127,13 @@ type traceChecker struct {
 	cmds []Command
 }
 
-func (tc *traceChecker) add(c Command) { tc.cmds = append(tc.cmds, c) }
+// OnCommand implements CommandObserver.
+func (tc *traceChecker) OnCommand(c Command) { tc.cmds = append(tc.cmds, c) }
+
+// commandFunc adapts a closure to CommandObserver.
+type commandFunc func(Command)
+
+func (f commandFunc) OnCommand(c Command) { f(c) }
 
 // verify checks all pairwise timing constraints; returns the violations.
 func (tc *traceChecker) verify(t *testing.T) {
@@ -279,7 +285,7 @@ func TestTimingInvariantsRandomTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	s := NewSubChannel(cfg, 1)
 	tc := &traceChecker{t: cfg.Timing, cfg: cfg}
-	s.SetCommandTrace(tc.add)
+	s.AttachObserver(tc)
 	c := &collector{}
 	rng := rand.New(rand.NewSource(42))
 
@@ -623,7 +629,7 @@ func TestSameBankRefreshSlotSemantics(t *testing.T) {
 	s := NewSubChannel(cfg, 1)
 
 	var cmds []Command
-	s.SetCommandTrace(func(c Command) { cmds = append(cmds, c) })
+	s.AttachObserver(commandFunc(func(c Command) { cmds = append(cmds, c) }))
 
 	linesPerRow := uint64(cfg.RowBytes / memreq.LineSize)
 	addrOf := func(bank, row uint64) uint64 {
@@ -829,8 +835,8 @@ func TestNextEventMatchesCycleByCycle(t *testing.T) {
 			ref := NewSubChannel(cfg, 1)
 			evt := NewSubChannel(cfg, 1)
 			var refCmds, evtCmds []Command
-			ref.SetCommandTrace(func(c Command) { refCmds = append(refCmds, c) })
-			evt.SetCommandTrace(func(c Command) { evtCmds = append(evtCmds, c) })
+			ref.AttachObserver(commandFunc(func(c Command) { refCmds = append(refCmds, c) }))
+			evt.AttachObserver(commandFunc(func(c Command) { evtCmds = append(evtCmds, c) }))
 			refC := &collector{}
 			evtC := &collector{}
 			rng := rand.New(rand.NewSource(tc.seed))

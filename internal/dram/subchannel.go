@@ -172,12 +172,9 @@ type SubChannel struct {
 	// slot could next be usable over the frozen scheduler state. It stays
 	// exact until that state changes (an arrival pop, an issue, a refresh
 	// step — the latter two force a rescan by setting it to now+1 or
-	// invalidBound), so Tick skips the scan entirely before it. boundAt
-	// records the cycle the bound was last endorsed; NextEvent reuses the
-	// bound only when queried that same cycle (Tick and NextEvent run back
-	// to back) and rescans otherwise.
+	// invalidBound), so Tick skips the scan entirely before it and
+	// NextEvent reads it as the scheduler's bound.
 	issueBound int64
-	boundAt    int64
 
 	// pendingR/pendingW count requests pushed but not yet arrived, so
 	// queue-depth admission covers in-flight arrivals too.
@@ -195,12 +192,8 @@ type SubChannel struct {
 
 	ctr Counters
 
-	// cmdTrace, when non-nil, receives every issued command (testing and
-	// analysis hook; nil in normal operation).
-	cmdTrace func(Command)
-
-	// observers receive every issued command after cmdTrace (validation
-	// taps; empty in normal operation).
+	// observers receive every issued command (validation taps and tests;
+	// empty in normal operation).
 	observers []CommandObserver
 
 	// now tracks the last ticked cycle for monotonicity.
@@ -246,10 +239,6 @@ type Command struct {
 	Row   uint64
 }
 
-// SetCommandTrace installs a per-command observer (nil to disable). For
-// verification: the observer must not mutate the sub-channel.
-func (s *SubChannel) SetCommandTrace(fn func(Command)) { s.cmdTrace = fn }
-
 // CommandObserver receives every command the scheduler puts on the command
 // bus, in issue order. Implementations must not mutate the sub-channel;
 // they are invoked synchronously from Tick.
@@ -257,21 +246,17 @@ type CommandObserver interface {
 	OnCommand(Command)
 }
 
-// AttachObserver registers an additional command observer alongside any
-// SetCommandTrace hook. Observers cannot be detached; attach them before
-// the first tick.
+// AttachObserver registers a command observer. Observers cannot be
+// detached; attach them before the first tick.
 func (s *SubChannel) AttachObserver(o CommandObserver) {
 	s.observers = append(s.observers, o)
 }
 
 func (s *SubChannel) trace(kind CommandKind, bnk, grp int32, row uint64, now int64) {
-	if s.cmdTrace == nil && len(s.observers) == 0 {
+	if len(s.observers) == 0 {
 		return
 	}
 	c := Command{Cycle: now, Kind: kind, Bank: bnk, Group: grp, Row: row}
-	if s.cmdTrace != nil {
-		s.cmdTrace(c)
-	}
 	for _, o := range s.observers {
 		o.OnCommand(c)
 	}
@@ -542,11 +527,9 @@ func (s *SubChannel) Tick(now int64) {
 			}
 		}
 		if !arrived && now < s.issueBound {
-			s.boundAt = now
 			return
 		}
 		s.issueBound = s.tryIssue(now)
-		s.boundAt = now
 		return
 	}
 
@@ -579,11 +562,9 @@ func (s *SubChannel) Tick(now int64) {
 	// folds into the bound — so before the bound the slot is provably
 	// unusable and the scan would issue nothing and change nothing.
 	if !arrived && now < s.issueBound {
-		s.boundAt = now
 		return
 	}
 	s.issueBound = s.tryIssue(now)
-	s.boundAt = now
 }
 
 // NextEvent returns the earliest cycle after now at which Tick could make
@@ -591,15 +572,17 @@ func (s *SubChannel) Tick(now int64) {
 // change only when Tick pops an arrival or issues a CAS, and every timing
 // gate (casReady, bus turnaround, actReady, tRRD, tFAW, preReady,
 // starvation age) is a monotone threshold on now over that frozen state —
-// so the first cycle any command could issue is exactly computable
-// (nextIssueAt). The candidates are: that bound, the next arrival, the
-// next completion delivery, and refresh becoming due. Any of those events
-// triggers a tick, after which the caller re-queries NextEvent against the
-// new state; cycles skipped between them are provable no-ops (Tick would
-// pop nothing and fall through tryIssue without effect). During quiesce
-// or REFsb windows (refreshDue/sbDue already past) the sub-channel claims
-// now+1 and steps cycle by cycle, as those paths consume command slots on
-// timing-dependent cycles of their own.
+// so the first cycle any command could issue is exactly computable, and
+// tryIssue's fused scan computed it (issueBound). The candidates are: that
+// bound, the next arrival, the next completion delivery, and refresh
+// becoming due. Any of those events triggers a tick, after which the
+// caller re-queries NextEvent against the new state; cycles skipped
+// between them are provable no-ops (Tick would pop nothing and fall
+// through tryIssue without effect). During quiesce or REFsb windows
+// (refreshDue/sbDue already past), and on the cycle after a refresh step
+// consumed the slot, the sub-channel claims now+1 and steps cycle by
+// cycle, as those paths consume command slots on timing-dependent cycles
+// of their own.
 func (s *SubChannel) NextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 	if t, ok := s.arrivals.PeekAt(); ok && t < next {
@@ -637,141 +620,17 @@ func (s *SubChannel) NextEvent(now int64) int64 {
 		// REFsb PRE windows); the scheduler bound cannot be earlier.
 		return now + 1
 	}
-	if !blocked && (s.readQ.len() > 0 || s.writeQ.len() > 0) {
-		// Tick's scheduling decision already computed the bound over
-		// exactly this frozen state; reuse it when NextEvent is queried
-		// the same cycle (the normal Tick/NextEvent pairing) and fall
-		// back to a fresh scan otherwise (e.g. after a refresh step
-		// consumed the command slot before tryIssue ran).
-		t := s.issueBound
-		if s.boundAt != now {
-			t = s.nextIssueAt()
-		}
-		if t < next {
-			next = t
-		}
+	if !blocked && (s.readQ.len() > 0 || s.writeQ.len() > 0) && s.issueBound < next {
+		// tryIssue's scan already computed the bound over exactly this
+		// frozen state. A refresh step that consumed the command slot
+		// before tryIssue ran left it at invalidBound, which asks for the
+		// next cycle and a rescan there.
+		next = s.issueBound
 	}
 	if next <= now {
 		return now + 1
 	}
 	return next
-}
-
-// nextIssueAt computes the first cycle at which tryIssue, evaluated
-// against the current (frozen) scheduler state, could issue any command.
-// It mirrors tryIssue's candidate set — starvation guard, row-hit CAS,
-// closed-bank ACT, conflict PRE, idle PRE — replacing each "may it issue
-// now?" check with the exact cycle its timing gates open. Priority among
-// candidates affects which command issues, not whether one can, so the
-// minimum over all candidates is the first cycle the command slot is
-// usable. The bound is invalidated by any state change (arrival pop, CAS
-// retiring a queue entry, refresh), but each of those coincides with a
-// tick, after which NextEvent recomputes.
-func (s *SubChannel) nextIssueAt() int64 {
-	// Mirror the write-drain hysteresis update tryIssue will apply to the
-	// frozen queue lengths: it is idempotent until the lengths change.
-	draining := s.draining
-	if draining {
-		if s.writeQ.len() <= s.cfg.WriteLow {
-			draining = false
-		}
-	} else if s.writeQ.len() >= s.cfg.WriteHigh {
-		draining = true
-	}
-	useWrites := draining
-	if !useWrites && s.readQ.len() == 0 && s.writeQ.len() > 0 {
-		useWrites = true
-	}
-	q := &s.readQ
-	isWrite := false
-	if useWrites {
-		q = &s.writeQ
-		isWrite = true
-	}
-	keys := q.keys
-	if len(keys) == 0 {
-		return math.MaxInt64
-	}
-
-	turn := &s.casTurn[b2i(isWrite)]
-	busFloor := s.busFloorR
-	if isWrite {
-		busFloor = s.busFloorW
-	}
-
-	hitMask := s.hitMask(keys)
-
-	earliest := int64(math.MaxInt64)
-
-	// Starvation guard: once the oldest request's age crosses the limit it
-	// is served exclusively, through whichever command its bank state
-	// needs — including a PRE that row-hit protection would veto below.
-	k0 := &keys[0]
-	var g int64
-	open0 := s.openMask&(1<<uint(k0.bnk)) != 0
-	switch {
-	case open0 && s.bankRow[k0.bnk] == k0.row:
-		g = s.casReady[k0.bnk]
-		if v := turn[b2i(k0.grp == s.lastCASGroup)]; v > g {
-			g = v
-		}
-		if busFloor > g {
-			g = busFloor
-		}
-	case !open0:
-		g = s.earliestACT(k0.bnk, k0.grp)
-	default:
-		g = s.preReady[k0.bnk]
-	}
-	if t0 := q.reqs[0].ArriveMC + s.starvationLimit + 1; g < t0 {
-		g = t0
-	}
-	if g < earliest {
-		earliest = g
-	}
-
-	// Passes 1–3: row-hit CAS, closed-bank ACT, unprotected-conflict PRE.
-	for i := range keys {
-		k := &keys[i]
-		bit := uint64(1) << uint(k.bnk)
-		open := s.openMask&bit != 0
-		var t int64
-		switch {
-		case open && s.bankRow[k.bnk] == k.row:
-			t = s.casReady[k.bnk]
-			if v := turn[b2i(k.grp == s.lastCASGroup)]; v > t {
-				t = v
-			}
-			if busFloor > t {
-				t = busFloor
-			}
-		case !open:
-			t = s.earliestACT(k.bnk, k.grp)
-		case hitMask&bit == 0:
-			t = s.preReady[k.bnk]
-		default:
-			continue // conflict on a bank with protected row hits
-		}
-		if t < earliest {
-			earliest = t
-		}
-	}
-
-	// Pass 4: idle precharge of a stale open bank no queued request
-	// targets (targetMask spans both queues). Untargeting a bank requires
-	// a queue entry to leave (a CAS — a tick), so excluding targeted banks
-	// here is sound.
-	for m := s.openMask &^ s.targetMask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		t := s.lastUse[i] + idlePreTimeout + 1
-		if s.preReady[i] > t {
-			t = s.preReady[i]
-		}
-		if t < earliest {
-			earliest = t
-		}
-	}
-	return earliest
 }
 
 // hitMask builds the per-bank mask of banks whose open row has queued hits;
@@ -870,8 +729,8 @@ func (s *SubChannel) stepRefreshSameBank(now int64) bool {
 // mid-scan, and an extra tick is always harmless (NextEvent's contract),
 // while in the loaded regime the following cycle usually issues anyway.
 // When nothing issues, the bound is exact over the frozen state: the
-// minimum over every candidate's gate-opening cycle, matching what
-// nextIssueAt would compute.
+// minimum over every candidate's gate-opening cycle. Tick caches it in
+// issueBound, and NextEvent reads it from there.
 //
 // Every readiness check is a max-of-timestamps reduction over the
 // precomputed gate vectors (casTurn/busFloor/actTurn) — the timing-rule
@@ -1046,9 +905,9 @@ func (s *SubChannel) tryIssue(now int64) int64 {
 const idlePreTimeout = 120
 
 // invalidBound marks issueBound as stale (any past cycle would do): the
-// next normal tick rescans instead of trusting the cached bound. Set by
-// the refresh paths, which mutate bank state without going through
-// tryIssue.
+// next normal tick rescans instead of trusting the cached bound, and
+// NextEvent asks for that tick on the next cycle. Set by the refresh
+// paths, which mutate bank state without going through tryIssue.
 const invalidBound = math.MinInt64
 
 // tryIdlePrecharge closes one stale open bank, if any, and returns the

@@ -36,7 +36,6 @@ import (
 	"coaxial/internal/clock"
 	"coaxial/internal/cxl"
 	"coaxial/internal/dram"
-	"coaxial/internal/memreq"
 	"coaxial/internal/sim"
 	"coaxial/internal/stats"
 	"coaxial/internal/trace"
@@ -196,18 +195,23 @@ type rack struct {
 	ports    [][]*cxl.Port // per host, in channel order; nil when unpooled
 	devices  []*cxl.PooledDevice
 	clocking sim.Clocking
-	validate bool
-	oracles  []*validate.Oracle
+	// ddr, when validating, watches the pooled devices' DDR channels;
+	// each host's own harness covers its private backends.
+	ddr *validate.DDR
 
 	now          int64
 	measureStart int64
 }
 
 // build assembles devices, ports, and host systems in host-index order
-// (attach order is the devices' arbitration order), runs each host's
-// untimed warmup (or clones its warm snapshot), and wires validation.
+// (attach order is the devices' arbitration order), watches the devices
+// when validating, and runs each host's untimed warmup (or clones its
+// warm snapshot).
 func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*sim.WarmState) (*rack, error) {
-	rk := &rack{cfg: cfg, clocking: rc.Clocking, validate: rc.Validate}
+	rk := &rack{cfg: cfg, clocking: rc.Clocking}
+	if rc.Validate {
+		rk.ddr = &validate.DDR{}
+	}
 	for i, dcfg := range cfg.Pooled {
 		if dcfg.Name == "" {
 			dcfg.Name = fmt.Sprintf("pool%d", i)
@@ -216,7 +220,13 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 		// host's private per-channel devices would be (host 0's geometry),
 		// so a 1-host rack is timing-identical to the single-System run.
 		subs := cfg.Hosts[0].Channels * dcfg.DDRChannels * dcfg.DDR.SubChannels
-		rk.devices = append(rk.devices, cxl.NewPooledDevice(dcfg, subs))
+		d := cxl.NewPooledDevice(dcfg, subs)
+		if rk.ddr != nil {
+			for ci, ch := range d.DDR() {
+				rk.ddr.Watch(fmt.Sprintf("%s/ddr%d", dcfg.Name, ci), ch)
+			}
+		}
+		rk.devices = append(rk.devices, d)
 	}
 	for h, hcfg := range cfg.Hosts {
 		hp := sim.HostParams{Index: h, AddrOffset: HostAddrOffset(h)}
@@ -246,46 +256,7 @@ func build(cfg Config, workloads [][]trace.Workload, rc sim.RunConfig, warm []*s
 		rk.hosts = append(rk.hosts, sys)
 		rk.ports = append(rk.ports, ports)
 	}
-	if rc.Validate {
-		rk.wireValidation()
-	}
 	return rk, nil
-}
-
-// wireValidation attaches the differential harness to the shared devices:
-// an independent DDR5 timing oracle on every device sub-channel, plus a
-// per-host pending-request walker over the shared DDR controllers (which
-// the ports' own ForEachPending deliberately exclude). Each device's
-// queues are walked once per host and dispatched by Request.Host, so every
-// pending request is visited exactly once across the rack.
-func (rk *rack) wireValidation() {
-	for _, dev := range rk.devices {
-		for ci, ch := range dev.DDR() {
-			for si, sub := range ch.SubChannels() {
-				o := validate.NewOracle(sub.Config(), fmt.Sprintf("%s/ddr%d/sub%d", dev.Name(), ci, si))
-				sub.AttachObserver(o)
-				rk.oracles = append(rk.oracles, o)
-			}
-		}
-	}
-	if len(rk.devices) == 0 {
-		return
-	}
-	for h, sys := range rk.hosts {
-		hostID := int16(h)
-		devices := rk.devices
-		sys.AddPendingWalker(func(fn func(*memreq.Request)) {
-			for _, d := range devices {
-				for _, ch := range d.DDR() {
-					ch.ForEachPending(func(r *memreq.Request) {
-						if r.Host == hostID {
-							fn(r)
-						}
-					})
-				}
-			}
-		})
-	}
 }
 
 // Now implements sim.Stepper: the rack's lockstep cycle.
@@ -468,11 +439,11 @@ func (r Result) Summary() sim.Result {
 }
 
 // ValidationReport implements sim.Machine: it aggregates the rack's
-// end-of-window checks — each host's own harness report, device DDR
-// queue-occupancy bounds, and the shared devices' timing oracles. Returns
-// nil when validation is off or every check passed.
+// end-of-window checks — each host's own harness report, then the pooled
+// devices' DDR harness. Returns nil when validation is off or every check
+// passed.
 func (rk *rack) ValidationReport() error {
-	if !rk.validate {
+	if rk.ddr == nil {
 		return nil
 	}
 	count := 0
@@ -489,28 +460,7 @@ func (rk *rack) ValidationReport() error {
 			}
 		}
 	}
-	for _, d := range rk.devices {
-		for ci, ch := range d.DDR() {
-			for si, sub := range ch.SubChannels() {
-				r, w := sub.QueueOccupancy()
-				cfg := sub.Config()
-				if r < 0 || r > cfg.ReadQueueDepth || w < 0 || w > cfg.WriteQueueDepth {
-					count++
-					fmt.Fprintf(&b, "occupancy: %s/ddr%d/sub%d out of bounds: reads %d of %d, writes %d of %d\n",
-						d.Name(), ci, si, r, cfg.ReadQueueDepth, w, cfg.WriteQueueDepth)
-				}
-			}
-		}
-	}
-	for _, o := range rk.oracles {
-		o.Quiesce(rk.now)
-	}
-	for _, o := range rk.oracles {
-		count += o.ViolationCount()
-		for _, v := range o.Violations() {
-			b.WriteString(v.String())
-		}
-	}
+	count += rk.ddr.Check(rk.now, &b)
 	if count == 0 {
 		return nil
 	}

@@ -65,25 +65,40 @@ func TestOneHostMatchesSingleSystem(t *testing.T) {
 
 // TestRackValidationClean runs a contended 2-host rack under the full
 // differential harness: the shared-device oracles, per-host lifecycle
-// checkers, and cross-host pending walks must all come back clean.
+// checkers, and cross-host pending walks must all come back clean. The
+// second input attaches both channels of each host to one shared device,
+// so each host's pending walk must visit that device once, not once per
+// port.
 func TestRackValidationClean(t *testing.T) {
-	rc := testRC()
-	rc.Validate = true
-	wls := [][]trace.Workload{trace.RackMix(0, 12), trace.RackMix(1, 12)}
-	rr, err := Run(context.Background(), pooledRack(2), wls, rc)
-	if err != nil {
-		t.Fatalf("validated rack run: %v", err)
-	}
-	if len(rr.Hosts) != 2 || len(rr.Devices) != 2 {
-		t.Fatalf("got %d hosts / %d devices, want 2 / 2", len(rr.Hosts), len(rr.Devices))
-	}
-	for h, hr := range rr.Hosts {
-		if hr.Retired == 0 || hr.IPC <= 0 {
-			t.Errorf("host %d made no progress: %+v", h, hr)
-		}
-	}
-	if rr.FairnessIndex <= 0 || rr.FairnessIndex > 1 {
-		t.Errorf("fairness index %v outside (0, 1]", rr.FairnessIndex)
+	oneDevice := pooledRack(2)
+	oneDevice.Pooled = oneDevice.Pooled[:1]
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"device-per-channel", pooledRack(2)},
+		{"ports-share-device", oneDevice},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := testRC()
+			rc.Validate = true
+			wls := [][]trace.Workload{trace.RackMix(0, 12), trace.RackMix(1, 12)}
+			rr, err := Run(context.Background(), tc.cfg, wls, rc)
+			if err != nil {
+				t.Fatalf("validated rack run: %v", err)
+			}
+			if len(rr.Hosts) != 2 || len(rr.Devices) != len(tc.cfg.Pooled) {
+				t.Fatalf("got %d hosts / %d devices, want 2 / %d", len(rr.Hosts), len(rr.Devices), len(tc.cfg.Pooled))
+			}
+			for h, hr := range rr.Hosts {
+				if hr.Retired == 0 || hr.IPC <= 0 {
+					t.Errorf("host %d made no progress: %+v", h, hr)
+				}
+			}
+			if rr.FairnessIndex <= 0 || rr.FairnessIndex > 1 {
+				t.Errorf("fairness index %v outside (0, 1]", rr.FairnessIndex)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"coaxial/internal/memreq"
-	"coaxial/internal/trace"
-)
+import "coaxial/internal/trace"
 
 // This file is the external driver surface of a System: the handles a
 // multi-host topology (internal/rack) needs to step hosts in lockstep
@@ -85,7 +82,7 @@ func (s *System) DrainRetiredNow() { s.drainRetired() }
 func (s *System) Configure(rc RunConfig) {
 	s.SetClocking(rc.Clocking)
 	if rc.Validate {
-		s.EnableValidation()
+		s.enableValidation()
 	}
 }
 
@@ -116,12 +113,3 @@ func (s *System) Collect(workloads []trace.Workload) Result { return s.collect(m
 // every check passed, or when validation is disabled. Call only on the
 // success path with the system quiesced at its final cycle.
 func (s *System) ValidationReport() error { return s.validationError() }
-
-// AddPendingWalker registers an additional pending-request walker with the
-// validation harness: requests this host owns that live outside its own
-// backends (e.g. inside a shared pooled device's DDR controllers, which
-// the port's ForEachPending deliberately excludes). The walker must visit
-// each such request exactly once.
-func (s *System) AddPendingWalker(w func(func(*memreq.Request))) {
-	s.extraPending = append(s.extraPending, w)
-}

@@ -158,16 +158,10 @@ type System struct {
 	probeLLCHit bool
 
 	// val, when non-nil, is the differential validation harness attached
-	// by EnableValidation (RunConfig.Validate): timing oracles on every
-	// DRAM sub-channel plus the request-lifecycle checker hooked into
-	// send/Complete.
+	// by enableValidation (RunConfig.Validate): timing oracles on every
+	// DRAM sub-channel the system owns plus the request-lifecycle checker
+	// hooked into send/Complete.
 	val *validation
-	// extraPending are additional pending-request walkers registered by a
-	// topology builder (AddPendingWalker): requests this host owns that
-	// live outside its backends' own queues — e.g. inside a shared pooled
-	// device's DDR controllers, which the rack walks once per device and
-	// dispatches by Request.Host.
-	extraPending []func(func(*memreq.Request))
 
 	// hostID tags every request this system creates (Request.Host) and
 	// addrOffset displaces its synthetic address space, so several hosts

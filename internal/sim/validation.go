@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"coaxial/internal/cxl"
@@ -12,38 +13,33 @@ import (
 
 // validation bundles the per-system checkers of the differential
 // validation harness (RunConfig.Validate / coaxial.WithValidation): one
-// independent DDR5 timing oracle per sub-channel, attached as a command
-// observer, and one request-lifecycle checker hooked into send/Complete.
+// independent DDR5 timing oracle per sub-channel the system owns, and one
+// request-lifecycle checker hooked into send/Complete.
 type validation struct {
-	lc      *validate.Lifecycle
-	oracles []*validate.Oracle
+	lc  *validate.Lifecycle
+	ddr validate.DDR
 }
 
-// EnableValidation attaches the differential validation harness. Call
-// before the first tick; idempotent. Oracles are per-sub-channel and the
-// lifecycle checker per System, so the hosts of a rack share neither.
+// enableValidation attaches the differential validation harness. Call
+// before the first tick; idempotent. The system watches the DDR channels
+// it owns: direct channels and each CXL channel's private device. Pooled
+// devices are the rack's to watch. The lifecycle checker is per System, so
+// the hosts of a rack share no checker.
 //
 // The harness is observation-only: it never mutates requests or
 // schedulers, so a validated run is bit-identical to an unvalidated one.
-func (s *System) EnableValidation() {
+func (s *System) enableValidation() {
 	if s.val != nil {
 		return
 	}
 	v := &validation{lc: validate.NewLifecycle()}
-	attach := func(label string, d *dram.Channel) {
-		for si, sub := range d.SubChannels() {
-			o := validate.NewOracle(sub.Config(), fmt.Sprintf("%s/sub%d", label, si))
-			sub.AttachObserver(o)
-			v.oracles = append(v.oracles, o)
-		}
-	}
 	for ch, b := range s.backends {
 		switch t := b.(type) {
 		case *dram.Channel:
-			attach(fmt.Sprintf("ddr%d", ch), t)
+			v.ddr.Watch(fmt.Sprintf("ddr%d", ch), t)
 		case *cxl.Channel:
 			for di, d := range t.Device().DDR() {
-				attach(fmt.Sprintf("cxl%d/ddr%d", ch, di), d)
+				v.ddr.Watch(fmt.Sprintf("cxl%d/ddr%d", ch, di), d)
 			}
 		}
 	}
@@ -54,13 +50,24 @@ func (s *System) EnableValidation() {
 	s.arena.SetFailf(v.lc.Failf)
 }
 
+// portOf returns backend b's CXL port: b itself, or the one a private
+// *cxl.Channel embeds. Nil for a direct DDR channel.
+func portOf(b ExternalBackend) *cxl.Port {
+	switch t := b.(type) {
+	case *cxl.Port:
+		return t
+	case *cxl.Channel:
+		return &t.Port
+	}
+	return nil
+}
+
 // forEachPending walks every request the memory system currently owns:
-// the spill retry queues plus each backend's internal queues (for CXL,
-// including the device-side DDR controllers and the response path). For
-// pooled-device ports the shared DDR controllers are covered by the
-// topology's registered walkers (AddPendingWalker) — the rack walks each
-// device once and dispatches by Request.Host — so a host with several
-// ports on one device still visits each request exactly once.
+// the spill retry queues, each direct DDR channel, each CXL port's queues,
+// then the DDR channels of every device those ports reach. Each device is
+// walked once, however many of this host's ports reach it, and only this
+// host's requests are kept, so every request is visited exactly once even
+// on a device other hosts share.
 func (s *System) forEachPending(fn func(*memreq.Request)) {
 	for ch := range s.backends {
 		for i := range s.spillR[ch] {
@@ -70,13 +77,26 @@ func (s *System) forEachPending(fn func(*memreq.Request)) {
 			fn(s.spillW[ch][i].r)
 		}
 	}
+	var devs []*cxl.PooledDevice
 	for _, b := range s.backends {
-		if w, ok := b.(interface{ ForEachPending(func(*memreq.Request)) }); ok {
-			w.ForEachPending(fn)
+		if d, ok := b.(*dram.Channel); ok {
+			d.ForEachPending(fn)
+		}
+		if p := portOf(b); p != nil {
+			p.ForEachPending(fn)
+			if !slices.Contains(devs, p.Device()) {
+				devs = append(devs, p.Device())
+			}
 		}
 	}
-	for _, w := range s.extraPending {
-		w(fn)
+	for _, d := range devs {
+		for _, ch := range d.DDR() {
+			ch.ForEachPending(func(r *memreq.Request) {
+				if r.Host == s.hostID {
+					fn(r)
+				}
+			})
+		}
 	}
 }
 
@@ -129,63 +149,20 @@ func (s *System) validationError() error {
 		}
 	})
 
-	// Queue occupancy bounds.
-	var extra []string
-	checkSub := func(label string, si int, sub *dram.SubChannel) {
-		r, w := sub.QueueOccupancy()
-		cfg := sub.Config()
-		if r < 0 || r > cfg.ReadQueueDepth || w < 0 || w > cfg.WriteQueueDepth {
-			extra = append(extra, fmt.Sprintf(
-				"%s/sub%d queue occupancy out of bounds: reads %d of %d, writes %d of %d",
-				label, si, r, cfg.ReadQueueDepth, w, cfg.WriteQueueDepth))
-		}
-	}
-	for ch, b := range s.backends {
-		switch t := b.(type) {
-		case *dram.Channel:
-			for si, sub := range t.SubChannels() {
-				checkSub(fmt.Sprintf("ddr%d", ch), si, sub)
-			}
-		case *cxl.Channel:
-			if out := t.Outstanding(); out < 0 || out > t.IngressDepth() {
-				extra = append(extra, fmt.Sprintf(
-					"cxl%d outstanding count %d outside [0, %d]", ch, out, t.IngressDepth()))
-			}
-			for di, d := range t.Device().DDR() {
-				for si, sub := range d.SubChannels() {
-					checkSub(fmt.Sprintf("cxl%d/ddr%d", ch, di), si, sub)
-				}
-			}
-		case *cxl.Port:
-			// Shared-device DDR occupancy is checked by the rack, which
-			// owns the device; only the port-local bound is per-host.
-			if out := t.Outstanding(); out < 0 || out > t.IngressDepth() {
-				extra = append(extra, fmt.Sprintf(
-					"port%d outstanding count %d outside [0, %d]", ch, out, t.IngressDepth()))
-			}
-		}
-	}
-
-	// Oracle end-of-run checks (refresh schedule liveness).
-	for _, o := range s.val.oracles {
-		o.Quiesce(s.now)
-	}
-
-	count := lc.ErrorCount() + len(extra)
 	var b strings.Builder
-	for _, o := range s.val.oracles {
-		count += o.ViolationCount()
-		for _, v := range o.Violations() {
-			b.WriteString(v.String())
+	count := s.val.ddr.Check(s.now, &b) + lc.ErrorCount()
+	// Port admission bounds. A pooled device's DDR occupancy is the rack's
+	// check.
+	for ch, be := range s.backends {
+		if p := portOf(be); p != nil {
+			if out := p.Outstanding(); out < 0 || out > p.IngressDepth() {
+				count++
+				fmt.Fprintf(&b, "occupancy: cxl%d outstanding count %d outside [0, %d]\n", ch, out, p.IngressDepth())
+			}
 		}
 	}
 	for _, e := range lc.Errors() {
 		b.WriteString("lifecycle: ")
-		b.WriteString(e)
-		b.WriteByte('\n')
-	}
-	for _, e := range extra {
-		b.WriteString("occupancy: ")
 		b.WriteString(e)
 		b.WriteByte('\n')
 	}

@@ -175,7 +175,7 @@ func TestValidationErrorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EnableValidation()
+	sys.enableValidation()
 	sys.val.lc.Failf("synthetic invariant failure for plumbing test")
 	verr := sys.validationError()
 	if verr == nil {
@@ -207,7 +207,7 @@ func plantedSystem(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EnableValidation()
+	sys.enableValidation()
 	for i := 0; i < 50; i++ {
 		sys.BenchSteps(2_000)
 		pending := 0

@@ -66,8 +66,8 @@ type obank struct {
 }
 
 // Oracle is an independent DDR5 timing scoreboard for one sub-channel.
-// Attach one per sub-channel via dram.SubChannel.AttachObserver; it scores
-// a single command stream, so no two sub-channels may share one.
+// DDR.Watch attaches one per sub-channel as a dram.CommandObserver; it
+// scores a single command stream, so no two sub-channels may share one.
 type Oracle struct {
 	label    string
 	t        dram.Timing
