@@ -105,4 +105,7 @@ perfbench-gate:
 	   esac; \
 	 done
 
-check: vet fmt-check lint build test
+# check is the full pre-push gate. It ends with perfbench-gate because
+# perfbench is its own module: `go test ./...` never builds it, so only the
+# gate catches an internal API or behaviour change that breaks it.
+check: vet fmt-check lint build test perfbench-gate

@@ -117,8 +117,8 @@ type Stats struct {
 // one-port PooledDevice. The link and device model is the one a rack pools
 // (pooled.go); Channel only runs the port's host-side half and the device
 // side together each cycle, in the order a rack cycle runs them. Everything
-// else — Enqueue, Complete, counters, the retired drain, link stats — is
-// the embedded Port's.
+// else — Enqueue, Complete, counters, link stats — is the embedded
+// Port's.
 type Channel struct {
 	Port
 	dev PooledDevice

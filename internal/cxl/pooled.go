@@ -270,8 +270,8 @@ type waiting struct {
 // Port is the host-side half of one CXL channel into a PooledDevice: the
 // CPU-side CXL controller, the serial link in both directions, and the
 // response path. It implements the full backend surface (memreq.Backend,
-// counters, retired-write collection, validation walks), so a sim.System
-// embeds it exactly like any other memory backend.
+// counters, validation walks), so a sim.System embeds it exactly like any
+// other memory backend.
 //
 // Phase contract: Enqueue, Tick, NextEvent, and the response deliveries
 // inside Tick touch only port-local state (the rack's host phase).
@@ -311,13 +311,12 @@ type Port struct {
 	// very next cycle's host phase.
 	outstanding int
 
-	// retired buffers writes that died inside the device (committed with
-	// no requester completer). Only collected when collectRetired is set —
-	// the simulator drains the buffer at a cycle barrier to recycle arena
-	// requests; raw users leave it off and such requests simply become
-	// unreferenced.
+	// retired buffers writes that committed with no requester completer,
+	// while collectRetired is set (see SetCollectRetired). The simulator
+	// never sets it: every request a System sends carries the System as
+	// its completer.
 	collectRetired bool
-	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
+	//lint:owns handed to DrainRetired's caller, which owns them from then on
 	retired []*memreq.Request
 
 	stats Stats
@@ -350,17 +349,17 @@ func (p *Port) Enqueue(r *memreq.Request, at int64) bool {
 }
 
 // Complete receives DRAM-side completions from the shared device (read
-// data ready, or write committed) and schedules the response path. Runs in
-// the sequential device phase (the DDR channels tick there), so pushing
-// into the port's response heap is race-free; deliveries happen in later
-// cycles' host phases because the device egress port alone puts the
-// delivery at least one cycle out.
+// data ready, or write committed). A read is scheduled onto the response
+// path: Complete runs in the sequential device phase (the DDR channels
+// tick there), so pushing into the port's response heap is race-free, and
+// deliveries happen in later cycles' host phases because the device egress
+// port alone puts the delivery at least one cycle out. A write's commit
+// goes to its requester in this same call.
 func (p *Port) Complete(r *memreq.Request, now int64) {
 	if r.Kind == memreq.Write {
 		// Write data was already transferred; no response modeled (CXL
-		// write completions are small NDR messages off the critical path).
-		// A write with no requester completer dies here — buffer it for
-		// the retired drain when collection is on.
+		// write completions are small NDR messages off the critical path),
+		// so the requester learns of the commit at once.
 		p.writeBytes += memreq.LineSize
 		p.dev.hostWriteBytes[p.host] += memreq.LineSize
 		if r.Inner != nil {
@@ -545,14 +544,16 @@ func (p *Port) ResetCounters() {
 // LinkStats returns this port's link activity counters.
 func (p *Port) LinkStats() Stats { return p.stats }
 
-// SetCollectRetired enables buffering of writes that die inside the device
-// (committed with no requester completer) for the owning system's retired
-// drain. Retirements happen in the device phase, so the rack driver drains
-// them in its phase after the device phase — not inside the host tick.
+// SetCollectRetired enables buffering of writes that commit with no
+// requester completer, for DrainRetired. Off by default; the simulator
+// never turns it on.
+//
+// Deprecated: kept only for perfbench, which compiles against it.
 func (p *Port) SetCollectRetired(on bool) { p.collectRetired = on }
 
-// DrainRetired hands every buffered retired request to fn and clears the
-// buffer. Call only from the rack's sequential phases.
+// DrainRetired hands every buffered write to fn and clears the buffer.
+//
+// Deprecated: kept only for perfbench, which compiles against it.
 func (p *Port) DrainRetired(fn func(*memreq.Request)) {
 	if len(p.retired) == 0 {
 		return

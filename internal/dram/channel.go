@@ -156,22 +156,6 @@ func (c *Channel) Idle() bool {
 // and tests).
 func (c *Channel) SubChannels() []*SubChannel { return c.subs }
 
-// SetCollectRetired enables retired-request buffering on every sub-channel
-// (see SubChannel.SetCollectRetired).
-func (c *Channel) SetCollectRetired(on bool) {
-	for _, s := range c.subs {
-		s.SetCollectRetired(on)
-	}
-}
-
-// DrainRetired drains every sub-channel's retired-request buffer into fn.
-// Call only from the sequential phases of the tick loop.
-func (c *Channel) DrainRetired(fn func(*memreq.Request)) {
-	for _, s := range c.subs {
-		s.DrainRetired(fn)
-	}
-}
-
 // ForEachPending visits every request any sub-channel currently owns (for
 // validation walks).
 func (c *Channel) ForEachPending(fn func(*memreq.Request)) {

@@ -22,7 +22,7 @@ type entryKey struct {
 // shared across the three slices; push/remove keep them in lockstep.
 type reqQueue struct {
 	keys []entryKey
-	//lint:owns popped on completion and released by the completer or the retired drain
+	//lint:owns popped at CAS issue and released by the completer
 	reqs []*memreq.Request
 	seen []bool // first command issued (StartSvc recorded)
 }
@@ -180,16 +180,6 @@ type SubChannel struct {
 	// queue-depth admission covers in-flight arrivals too.
 	pendingR, pendingW int
 
-	// retired buffers requests that died inside the sub-channel during this
-	// backend phase: write CAS retirements with no completion callback.
-	// Collected only when collectRetired is set (the simulator drains the
-	// buffer at the cycle barrier to recycle arena requests); raw
-	// sub-channel users leave it off and such requests simply become
-	// unreferenced, as before.
-	collectRetired bool
-	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
-	retired []*memreq.Request
-
 	ctr Counters
 
 	// observers receive every issued command (validation taps and tests;
@@ -278,25 +268,6 @@ func (s *SubChannel) ForEachPending(fn func(*memreq.Request)) {
 	}
 	s.arrivals.ForEach(fn)
 	s.completions.ForEach(fn)
-}
-
-// SetCollectRetired enables buffering of requests that retire inside the
-// sub-channel without a completion callback (write CAS retirements with a
-// nil Ret). The simulator drains the buffer with DrainRetired at the cycle
-// barrier to recycle arena-allocated requests. Off by default.
-func (s *SubChannel) SetCollectRetired(on bool) { s.collectRetired = on }
-
-// DrainRetired hands every buffered retired request to fn and clears the
-// buffer. Call only from the sequential phases of the tick loop.
-func (s *SubChannel) DrainRetired(fn func(*memreq.Request)) {
-	if len(s.retired) == 0 {
-		return
-	}
-	for i, r := range s.retired {
-		s.retired[i] = nil
-		fn(r)
-	}
-	s.retired = s.retired[:0]
 }
 
 // NewSubChannel constructs a sub-channel. divisor is the total number of
@@ -1055,8 +1026,6 @@ func (s *SubChannel) issueCAS(q *reqQueue, i int, isWrite bool, now int64) {
 
 	if r.Ret != nil {
 		s.completions.Push(dataEnd, r)
-	} else if s.collectRetired {
-		s.retired = append(s.retired, r)
 	}
 }
 

@@ -87,14 +87,13 @@ func DefaultAllocConfig() AllocConfig {
 	return AllocConfig{
 		HotFuncs: []string{
 			// sim.System: the phased tick — per-cycle step, event-driven
-			// step, core-event and retired drains, and the request
-			// completion path.
+			// step, the core-event drain, and the request completion path,
+			// where every request dies.
 			"coaxial/internal/sim.System.step",
 			"coaxial/internal/sim.System.stepEvent",
 			"coaxial/internal/sim.System.tickEventCycle",
 			"coaxial/internal/sim.System.nextEventBound",
 			"coaxial/internal/sim.System.drainCoreEvents",
-			"coaxial/internal/sim.System.drainRetired",
 			"coaxial/internal/sim.System.Access",
 			"coaxial/internal/sim.System.Complete",
 			"coaxial/internal/sim.System.send",
@@ -110,7 +109,7 @@ func DefaultAllocConfig() AllocConfig {
 			"coaxial/internal/dram.SubChannel.NextEvent",
 			"coaxial/internal/dram.SubChannel.tryIssue",
 			"coaxial/internal/dram.SubChannel.Enqueue",
-			// cxl: link serialization, retry, and the retired drains.
+			// cxl: link serialization, retry, and the completion path.
 			"coaxial/internal/cxl.Channel.Tick",
 			"coaxial/internal/cxl.Channel.NextEvent",
 			"coaxial/internal/cxl.PooledDevice.TickDevice",

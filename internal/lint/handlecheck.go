@@ -35,9 +35,10 @@ import (
 // the exit state of every handle-typed parameter, plus whether every
 // return yields a freshly allocated handle — propagates through the fact
 // store in dependency order, so callers see through helpers like
-// releaseRetired without any annotation. Calls with no summary (interface
-// dispatch, function values, stdlib) leave handle state untouched: the
-// benefit of the doubt, traded for zero false positives.
+// System.send, which hands its request to a backend or a spill queue,
+// without any annotation. Calls with no summary (interface dispatch,
+// function values, stdlib) leave handle state untouched: the benefit of
+// the doubt, traded for zero false positives.
 type handlecheckState struct {
 	cfg        HandleConfig
 	allocs     map[string]bool

@@ -152,17 +152,15 @@ func handleMutations() []concMutation {
 		{
 			name: "sim-retired-double-release",
 			file: "internal/sim/system.go",
-			old: `	if s.val != nil {
-		s.val.lc.OnRetire(r)
-	}
-	s.arena.Release(r)
-}`,
-			new: `	if s.val != nil {
-		s.val.lc.OnRetire(r)
-	}
-	s.arena.Release(r)
-	s.arena.Release(r)
-}`,
+			old: `	if r.Kind == memreq.Write {
+		s.arena.Release(r)
+		return
+	}`,
+			new: `	if r.Kind == memreq.Write {
+		s.arena.Release(r)
+		s.arena.Release(r)
+		return
+	}`,
 			patterns: []string{"coaxial/internal/sim"},
 			want:     []string{"double release"},
 		},
@@ -196,7 +194,7 @@ func handleMutations() []concMutation {
 			name: "dram-reqqueue-owns-deleted",
 			file: "internal/dram/subchannel.go",
 			old: `	keys []entryKey
-	//lint:owns popped on completion and released by the completer or the retired drain
+	//lint:owns popped at CAS issue and released by the completer
 	reqs []*memreq.Request`,
 			new: `	keys []entryKey
 	reqs []*memreq.Request`,
@@ -206,7 +204,7 @@ func handleMutations() []concMutation {
 		{
 			name: "cxl-retired-owns-deleted",
 			file: "internal/cxl/pooled.go",
-			old: `	//lint:owns handed to the owning System's retired drain by DrainRetired, which releases them
+			old: `	//lint:owns handed to DrainRetired's caller, which owns them from then on
 	retired []*memreq.Request`,
 			new:      `	retired []*memreq.Request`,
 			patterns: []string{"coaxial/internal/cxl"},
@@ -215,7 +213,7 @@ func handleMutations() []concMutation {
 		{
 			name: "validate-reads-owns-deleted",
 			file: "internal/validate/lifecycle.go",
-			old: `	//lint:owns tracking keys only; entries are deleted on completion/retire, never dereferenced after release
+			old: `	//lint:owns tracking keys only; entries are deleted on completion, never dereferenced after release
 	reads map[*memreq.Request]struct{}`,
 			new:      `	reads map[*memreq.Request]struct{}`,
 			patterns: []string{"coaxial/internal/validate"},

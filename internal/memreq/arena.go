@@ -7,11 +7,11 @@ import "fmt"
 const arenaSlab = 256
 
 // Arena is a freelist allocator for Requests. A loaded simulation window
-// issues ~100k requests whose lifetimes all end inside the window (reads at
-// their completion callback, write-backs when their CAS retires), so the
-// steady state recycles a small working set — a few hundred live requests —
-// instead of allocating each one on the heap and feeding it to the garbage
-// collector.
+// issues ~100k requests whose lifetimes all end inside the window, at their
+// completion callback (a read when its data returns, a write-back when its
+// data commits), so the steady state recycles a small working set — a few
+// hundred live requests — instead of allocating each one on the heap and
+// feeding it to the garbage collector.
 //
 // Every request carries a liveness generation (odd while allocated, bumped
 // on both alloc and release), so a double release or a use of a released

@@ -82,8 +82,10 @@ type Request struct {
 	// response is dropped on arrival (wasted bandwidth, a false positive).
 	Discard bool
 
-	// Ret receives the completion callback. May be nil for writes whose
-	// completion is not observed.
+	// Ret receives the completion callback: a read's data returned, or a
+	// write's data committed. A simulated System sets itself on every
+	// request it creates; nil (raw backend users only) leaves the
+	// completion unobserved.
 	Ret Completer
 	// Inner is used by interposing backends (the CXL channel) to remember
 	// the requester's completer while the request is inside the device.

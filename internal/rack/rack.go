@@ -16,11 +16,11 @@
 //	          heaps are host-side)
 //	phase D — every pooled device TickDevice(next); sequential, fixed
 //	          device order, each device serving its ports in fixed
-//	          attach order (= host order)
+//	          attach order (= host order); a committed write goes to its
+//	          own host's Complete, which releases it
 //	phase E — per host, in host order: re-arm the host's cached backend
 //	          bounds with the port's fresh NextEvent (phase D only adds
-//	          events, so clamping down is sufficient) and release writes
-//	          that retired inside the devices
+//	          events, so clamping down is sufficient)
 //
 // Phases touch disjoint state, so results are bit-identical across
 // clocking, and a 1-host rack reproduces the equivalent single-System run
@@ -327,12 +327,11 @@ func (rk *rack) Step(limit int64) (int64, bool) {
 	// Phase E: sequential per host, in host order — re-arm each host's
 	// cached backend bounds (phase D scheduled new response deliveries;
 	// wakes only clamp down, and phase D can only add events, so clamping
-	// is sufficient) and release writes that retired inside the devices.
+	// is sufficient).
 	for h, s := range rk.hosts {
 		for ch, p := range rk.ports[h] {
 			s.WakeBackendAt(ch, p.NextEvent(next))
 		}
-		s.DrainRetiredNow()
 	}
 	rk.now = next
 	return next, rk.Done()

@@ -18,14 +18,14 @@ import "coaxial/internal/trace"
 //	phase D: every pooled device TickDevice(next) — sequential, fixed order
 //	phase E: per host, in host order:
 //	         WakeBackendAt(ch, port.NextEvent(next)) for every port channel
-//	         DrainRetiredNow()
 //
 // Phase H touches only host-private state (port ingress/response heaps are
-// host-side), phase D only device state, so no host sees another's updates
-// within a phase; phase E re-arms each host's cached backend bounds after
-// the device phase scheduled new response deliveries (wakes only clamp
-// down, and phase D can only add events, so clamping is sufficient) and
-// releases writes that retired inside the devices.
+// host-side), phase D only device state — except that a committed write is
+// handed to its own host's Complete, which only releases it — so no host
+// sees another's updates within a phase; phase E re-arms each host's
+// cached backend bounds after the device phase scheduled new response
+// deliveries (wakes only clamp down, and phase D can only add events, so
+// clamping is sufficient).
 
 // Now returns the host's current cycle.
 func (s *System) Now() int64 { return s.now }
@@ -70,11 +70,6 @@ func (s *System) Done() bool {
 // NextEvent, so response deliveries the device just scheduled are not
 // skipped over.
 func (s *System) WakeBackendAt(ch int, at int64) { s.wakeBackend(ch, at) }
-
-// DrainRetiredNow releases every request that died inside a backend since
-// the last drain (write retirements buffered by the device phase). Part of
-// the rack's sequential per-host phase E; harmlessly idempotent.
-func (s *System) DrainRetiredNow() { s.drainRetired() }
 
 // Configure applies rc's per-system settings — clocking and the validation
 // harness — to a freshly built system, before its first tick. Every run

@@ -73,14 +73,6 @@ const (
 	evVictim
 )
 
-// retirer is a backend that buffers requests dying inside it (writes whose
-// CAS retired with no completion callback) for the retired drain;
-// dram.Channel and cxl.Channel both satisfy it.
-type retirer interface {
-	SetCollectRetired(bool)
-	DrainRetired(func(*memreq.Request))
-}
-
 // System is one assembled simulated machine.
 type System struct {
 	cfg  Config
@@ -135,22 +127,12 @@ type System struct {
 	touchSink uint64
 
 	// arena recycles memreq.Request allocations: every request the system
-	// creates (LLC-miss reads, CALM probes, write-backs) is arena-allocated
-	// and released at its death point — reads at their completion callback,
-	// writes when the backends' retired drain hands them back — so a loaded
-	// steady-state window allocates nothing per request. A System ticks on
-	// one goroutine, so the arena needs no locking.
+	// creates (LLC-miss reads, CALM probes, write-backs) is arena-allocated,
+	// carries the System as its completer, and is released in Complete —
+	// reads when their data returns, writes when their data commits in
+	// DRAM — so a loaded steady-state window allocates nothing per request.
+	// A System ticks on one goroutine, so the arena needs no locking.
 	arena *memreq.Arena
-	// retirers are the backends that buffer requests dying inside them
-	// (write CAS retirements with no completer); drainRetired releases
-	// those after the backend ticks. retirerOf indexes the same backends by
-	// channel so the event loop can drain only the backends that ticked —
-	// a request can only retire during its backend's tick, so un-ticked
-	// backends provably buffered nothing. retireFn is the pre-bound
-	// release callback (building a method value per cycle would allocate).
-	retirers  []retirer
-	retirerOf []retirer
-	retireFn  func(*memreq.Request)
 	// llcProbe is the preallocated CALM probe closure over probeLLCHit;
 	// accessLLC stores the current lookup's outcome in the field and hands
 	// every Decide call the same closure (see the comment there).
@@ -179,10 +161,9 @@ type System struct {
 	ffAccesses   uint64
 	ffMisses     uint64
 
-	// dueCores/dueBackends are reused scratch lists of the components due
-	// at the cycle stepEvent selected.
-	dueCores    []int
-	dueBackends []int
+	// dueCores is the reused scratch list of the cores due at the cycle
+	// stepEvent selected.
+	dueCores []int
 
 	now int64
 }
@@ -350,36 +331,9 @@ func newSystemGens(cfg Config, gens []trace.Generator, hints []trace.Params, hp 
 	}
 	s.coreEvents = make([][]memEvent, len(s.cores))
 	s.arena = memreq.NewArena()
-	s.retireFn = s.releaseRetired
 	s.llcProbe = func() bool { return s.probeLLCHit }
-	s.retirerOf = make([]retirer, len(s.backends))
-	for ch, b := range s.backends {
-		if rt, ok := b.(retirer); ok {
-			rt.SetCollectRetired(true)
-			s.retirers = append(s.retirers, rt)
-			s.retirerOf[ch] = rt
-		}
-	}
 	s.SetClocking(s.clocking) // apply the default mode's lazy ticking
 	return s, nil
-}
-
-// releaseRetired is the retired-drain callback: a request died inside a
-// backend (write CAS with no completer), so release its tracking and
-// return it to the arena.
-func (s *System) releaseRetired(r *memreq.Request) {
-	if s.val != nil {
-		s.val.lc.OnRetire(r)
-	}
-	s.arena.Release(r)
-}
-
-// drainRetired releases every request that died inside a backend this
-// cycle. Runs after the backend ticks.
-func (s *System) drainRetired() {
-	for _, rt := range s.retirers {
-		rt.DrainRetired(s.retireFn)
-	}
 }
 
 // Close does nothing: a System starts no goroutines and holds nothing
@@ -564,15 +518,19 @@ func (s *System) drainCoreEvents(event bool) {
 	}
 }
 
-// Complete implements memreq.Completer: memory data arrived back at the
-// processor (direct DDR: straight from the controller; CXL: after the
-// response path).
+// Complete implements memreq.Completer, the one place every request the
+// system creates dies: a read when its data arrives back at the processor
+// (direct DDR: straight from the controller; CXL: after the response path),
+// a write-back when its data commits in DRAM (direct DDR: at the write
+// burst's end; CXL: as the device forwards the commit, with no response
+// modeled).
 func (s *System) Complete(r *memreq.Request, now int64) {
 	if s.val != nil {
 		s.val.lc.OnComplete(r, now) //lint:alloc validation hook; allocates only when recording an invariant failure
 	}
 	if r.Kind == memreq.Write {
-		return // writes die in the backends; the retired drain releases them
+		s.arena.Release(r)
+		return
 	}
 	if r.Discard {
 		s.fpDiscarded++
@@ -668,6 +626,7 @@ func (s *System) writeback(addr uint64, now int64) {
 	r := s.arena.Alloc()
 	r.Addr, r.Kind, r.Core, r.Issue = addr, memreq.Write, -1, now
 	r.Host = s.hostID
+	r.Ret = s
 	sliceTile := s.coreTiles[s.llc.SliceOf(addr)]
 	s.send(r, ch, now+s.mesh.Latency(sliceTile, s.portTiles[ch]))
 }
@@ -738,15 +697,15 @@ func (s *System) flushOne(qp *[]spillItem, ch int, now int64) {
 }
 
 // step advances the whole system one cycle (CycleByCycle mode). The cycle
-// is phased: core ticks, the core-event drain and spill retry, backend
-// ticks, the retired drain. Cores touch only private state during their
-// tick, buffering beyond-L2 work that the drain applies in core order, so
-// LLC lookups, CALM decisions and sends happen after every core ticked.
-// Backends deliver completions inline, calling Complete from inside their
-// Tick, in a fixed order: backends tick in channel order, each sub-channel
-// delivers its due completions in pop order, and any request a delivery
-// enqueues (a write-back) targets a future arrival cycle — the mesh hop is
-// never zero — so no same-cycle pop can observe it.
+// is phased: core ticks, the core-event drain, spill retry, backend ticks.
+// Cores touch only private state during their tick, buffering beyond-L2
+// work that the drain applies in core order, so LLC lookups, CALM
+// decisions and sends happen after every core ticked. Backends deliver
+// completions inline, calling Complete from inside their Tick, in a fixed
+// order: backends tick in channel order, each sub-channel delivers its due
+// completions in pop order, and any request a delivery enqueues (a
+// write-back) targets a future arrival cycle — the mesh hop is never zero
+// — so no same-cycle pop can observe it.
 func (s *System) step() {
 	s.now++
 	now := s.now
@@ -758,7 +717,6 @@ func (s *System) step() {
 	for _, b := range s.backends {
 		b.Tick(now)
 	}
-	s.drainRetired()
 }
 
 // stepEvent advances the clock to the earliest cached component event (at
@@ -767,9 +725,9 @@ func (s *System) step() {
 // jump, so skipping their ticks — and the whole-system cycles where nobody
 // is due — leaves simulated behaviour bit-identical to step(). Phase order
 // within the chosen cycle matches step(): cores, core-event drain, spill
-// retry, backends, retired drain. While any spill queue is non-empty
-// the jump degrades to a single cycle, because spill retry timing depends
-// on backend dequeues the caches can't see.
+// retry, backends. While any spill queue is non-empty the jump degrades to
+// a single cycle, because spill retry timing depends on backend dequeues
+// the caches can't see.
 func (s *System) stepEvent(limit int64) {
 	s.tickEventCycle(s.nextEventBound(limit))
 }
@@ -825,21 +783,13 @@ func (s *System) tickEventCycle(next int64) {
 	s.drainCoreEvents(true)
 	s.flushSpill(next)
 
-	due = s.dueBackends[:0]
-	for ch := range s.backends {
+	// A backend's tick wakes another backend only through a write-back its
+	// completions send, which arrives at least one mesh hop after next, so
+	// no backend becomes due during this pass.
+	for ch, b := range s.backends {
 		if s.backendNext[ch] <= next {
-			due = append(due, ch)
-		}
-	}
-	s.dueBackends = due
-	for _, ch := range due {
-		s.backends[ch].Tick(next)
-		s.backendNext[ch] = s.backends[ch].NextEvent(next)
-	}
-	// Only ticked backends can have buffered retired requests this cycle.
-	for _, ch := range s.dueBackends {
-		if rt := s.retirerOf[ch]; rt != nil {
-			rt.DrainRetired(s.retireFn)
+			b.Tick(next)
+			s.backendNext[ch] = b.NextEvent(next)
 		}
 	}
 }

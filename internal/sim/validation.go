@@ -141,13 +141,19 @@ func (s *System) validationError() error {
 	// Arena handle escape: every request a queue still owns must be a live
 	// allocation. A dead one means some component released a request while
 	// another still held its pointer — the stale handle would silently read
-	// a recycled request.
+	// a recycled request. Conversely, every request dies in Complete, so a
+	// live allocation that no queue holds was lost.
+	queued := 0
 	s.forEachPending(func(r *memreq.Request) {
+		queued++
 		if r != nil && !s.arena.IsLive(r) {
 			lc.Failf("escaped handle: request %#x (core %d) present in a memory-system queue after release",
 				r.Addr, r.Core)
 		}
 	})
+	if live := s.arena.Live(); live != queued {
+		lc.Failf("arena holds %d live requests but the memory-system queues hold %d", live, queued)
+	}
 
 	var b strings.Builder
 	count := s.val.ddr.Check(s.now, &b) + lc.ErrorCount()

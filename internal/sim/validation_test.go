@@ -220,10 +220,11 @@ func plantedSystem(t *testing.T) *System {
 	return nil
 }
 
-// TestValidationCatchesPlantedArenaFaults plants the two arena-misuse bugs
-// the harness exists to catch and confirms each surfaces as a validation
+// TestValidationCatchesPlantedArenaFaults plants the arena-misuse bugs the
+// harness exists to catch and confirms each surfaces as a validation
 // failure: an escaped handle (a request released while a memory-system
-// queue still holds its pointer) and a double free.
+// queue still holds its pointer), a double free, and a lost write (issued,
+// never sent, so it never completes).
 func TestValidationCatchesPlantedArenaFaults(t *testing.T) {
 	t.Run("escaped-handle", func(t *testing.T) {
 		sys := plantedSystem(t)
@@ -255,6 +256,24 @@ func TestValidationCatchesPlantedArenaFaults(t *testing.T) {
 		var ve *ValidationError
 		if !errors.As(verr, &ve) || !strings.Contains(ve.Report, "double release") {
 			t.Fatalf("planted double free not reported; err = %v", verr)
+		}
+	})
+	t.Run("lost-write", func(t *testing.T) {
+		sys := plantedSystem(t)
+		// Plant: a write-back that enters tracking but is never sent.
+		w := sys.arena.Alloc()
+		w.Addr, w.Kind, w.Core, w.Issue = 0x40, memreq.Write, -1, sys.now
+		w.Ret = sys
+		sys.val.lc.OnIssue(w, sys.now)
+		verr := sys.validationError()
+		var ve *ValidationError
+		if !errors.As(verr, &ve) {
+			t.Fatalf("planted lost write not reported; err = %v", verr)
+		}
+		for _, want := range []string{"write 0x40 leaked", "arena holds"} {
+			if !strings.Contains(ve.Report, want) {
+				t.Errorf("report lacks %q:\n%s", want, ve.Report)
+			}
 		}
 	})
 }

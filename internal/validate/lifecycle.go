@@ -13,16 +13,16 @@ const maxLifecycleErrors = 16
 
 // Lifecycle tracks every memory request from issue to completion and
 // checks the request-plumbing invariants: each request is issued exactly
-// once, reads complete exactly once, timestamps advance monotonically
+// once and completes exactly once, read timestamps advance monotonically
 // through the pipeline, the latency breakdown never exceeds the
 // end-to-end latency, and nothing leaks at window end.
 //
 // The checker observes requests from its System's tick loop (send and
 // Complete), which runs on one goroutine, so it needs no locking.
 type Lifecycle struct {
-	//lint:owns tracking keys only; entries are deleted on completion/retire, never dereferenced after release
+	//lint:owns tracking keys only; entries are deleted on completion, never dereferenced after release
 	reads map[*memreq.Request]struct{}
-	//lint:owns tracking keys only; entries are deleted on completion/retire, never dereferenced after release
+	//lint:owns tracking keys only; entries are deleted on completion, never dereferenced after release
 	writes map[*memreq.Request]struct{}
 
 	issuedReads    uint64
@@ -95,16 +95,19 @@ func (l *Lifecycle) OnIssue(r *memreq.Request, at int64) {
 	l.issuedReads++
 }
 
-// OnComplete records a request's completion callback at cycle `now` and
-// checks its timestamp monotonicity and latency breakdown. Write
-// completions merely release tracking (writebacks usually complete
-// unobserved, with no callback at all).
+// OnComplete records a request's completion callback at cycle `now`. A
+// read's timestamp monotonicity and latency breakdown are checked; a write
+// (its data committed in DRAM) only releases its tracking.
 func (l *Lifecycle) OnComplete(r *memreq.Request, now int64) {
 	if r == nil {
 		l.fail("nil request completed at cycle %d", now)
 		return
 	}
 	if r.Kind == memreq.Write {
+		if _, ok := l.writes[r]; !ok {
+			l.fail("write %#x completed at cycle %d but was never issued (or completed twice)", r.Addr, now)
+			return
+		}
 		delete(l.writes, r)
 		return
 	}
@@ -145,24 +148,6 @@ func (l *Lifecycle) OnComplete(r *memreq.Request, now int64) {
 	}
 }
 
-// OnRetire records a request dying silently inside a memory backend (a
-// write whose CAS retired with no completion callback). Tracking is
-// released before the request's storage is recycled, so a later request
-// reusing the same arena slot cannot be mistaken for a duplicate issue.
-// Reads must never retire silently; one showing up here is a violation.
-func (l *Lifecycle) OnRetire(r *memreq.Request) {
-	if r == nil {
-		l.fail("nil request retired inside a backend")
-		return
-	}
-	if r.Kind != memreq.Write {
-		l.fail("read %#x (core %d) retired silently inside a backend", r.Addr, r.Core)
-		delete(l.reads, r)
-		return
-	}
-	delete(l.writes, r)
-}
-
 // InFlight reports the tracked in-flight read population: total, and the
 // subset still holding an MSHR (CALM false positives are discarded early
 // and release theirs before the memory response returns).
@@ -179,10 +164,8 @@ func (l *Lifecycle) InFlight() (reads, nonDiscard int) {
 // CheckEnd reconciles the tracked population against the physical one at
 // window end. walk must visit every request the memory system still owns
 // (spill queues plus every backend's internal queues); mshrHeld is the sum
-// of outstanding MSHR entries across cores. Every tracked read must be
-// physically present exactly once and vice versa; physical writes must be
-// tracked (the converse does not hold — writes may complete unobserved, so
-// consumed entries are pruned here instead).
+// of outstanding MSHR entries across cores. Every tracked request must be
+// physically present exactly once and vice versa.
 func (l *Lifecycle) CheckEnd(walk func(func(*memreq.Request)), mshrHeld int) {
 	seenR := make(map[*memreq.Request]struct{}, len(l.reads))
 	seenW := make(map[*memreq.Request]struct{}, len(l.writes))
@@ -211,9 +194,16 @@ func (l *Lifecycle) CheckEnd(walk func(func(*memreq.Request)), mshrHeld int) {
 	})
 	// Collect leaks and report in a fixed order: the failure strings are part
 	// of a run's reproducible output and must not depend on map iteration.
+	// Requests tying on (Addr, Core) print identical lines (a write-back's
+	// Core is -1, so a read never ties with one).
 	var leaked []*memreq.Request
 	for r := range l.reads {
 		if _, ok := seenR[r]; !ok {
+			leaked = append(leaked, r)
+		}
+	}
+	for r := range l.writes {
+		if _, ok := seenW[r]; !ok {
 			leaked = append(leaked, r)
 		}
 	}
@@ -224,15 +214,12 @@ func (l *Lifecycle) CheckEnd(walk func(func(*memreq.Request)), mshrHeld int) {
 		return leaked[i].Core < leaked[j].Core
 	})
 	for _, r := range leaked {
+		if r.Kind == memreq.Write {
+			l.fail("write %#x leaked: tracked in flight but absent from every memory-system queue", r.Addr)
+			continue
+		}
 		l.fail("read %#x (core %d) leaked: tracked in flight but absent from every memory-system queue",
 			r.Addr, r.Core)
-	}
-	// Writes complete silently once the DRAM write CAS retires; prune
-	// tracked entries that have physically drained.
-	for r := range l.writes {
-		if _, ok := seenW[r]; !ok {
-			delete(l.writes, r)
-		}
 	}
 	if _, nonDiscard := l.InFlight(); nonDiscard != mshrHeld {
 		l.fail("MSHR accounting mismatch at window end: %d non-discarded in-flight reads vs %d held MSHR entries",
